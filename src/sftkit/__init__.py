@@ -19,8 +19,7 @@ from .errors import (CombinatorialBudgetExceeded, CompositionMismatch,
                      SftkitError, TruncationTooSmall, UnknownExample,
                      UnsupportedIdeal, UnsupportedModel)
 from .exponents import (ExponentVector, MonoidMembershipWitness,
-                        MonoidPresentation, monoid_add, monoid_member,
-                        scalar_multiple)
+                        MonoidPresentation, scalar_multiple)
 from .ideals import (MonomialIdeal, NilpotencyResult, RadicalResult,
                      ideal_contains, ideal_contains_witness, ideal_member,
                      ideal_power, monomial_ideal, nilpotency_index,

@@ -145,11 +145,6 @@ class ExponentVector:
         return f"EV({body})@{self.dim}"
 
 
-def monoid_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    """Componentwise sum: the exponent of a product of monomials."""
-    return a + b
-
-
 def scalar_multiple(e: ExponentVector, k: int) -> ExponentVector:
     """Exponent of the k-th power of a monomial; k must be >= 0."""
     if k < 0:
@@ -251,16 +246,6 @@ class MonoidPresentation:
         return d
 
     @cached_property
-    def min_gen_weight(self) -> Fraction:
-        if not self.gens:
-            return Fraction(0)
-        return min(self.weight(g) for g in self.gens)
-
-    @cached_property
-    def _gen_lookup(self) -> dict:
-        return {g.dense(): j for j, g in enumerate(self.gens)}
-
-    @cached_property
     def _sym_classes(self) -> tuple[tuple[int, ...], ...]:
         """Maximal groups of interchangeable coordinates: equal weight, and
         transposing any two maps the generator set onto itself. Membership is
@@ -302,32 +287,32 @@ class MonoidPresentation:
                     classes.append(tuple(cls))
         return tuple(sorted(classes))
 
-    def _canonical_target(self, target: ExponentVector):
-        """(canonical target, coordinate map) with map[k] = new home of
-        coordinate k; (target, None) when nothing moves."""
+    def _canonical_target(self, v: tuple):
+        """(canonical lattice point, coordinate map) with map[k] = new home
+        of coordinate k; (v, None) when nothing moves."""
         classes = self._sym_classes
         if not classes:
-            return target, None
-        dense = target.dense()
+            return v, None
         perm = list(range(self.dim))
         changed = False
         for cls in classes:
-            ranked = sorted(((dense[k], k) for k in cls),
+            ranked = sorted(((v[k], k) for k in cls),
                             key=lambda t: (-t[0], t[1]))
             for pos, (_, k) in zip(cls, ranked):
                 perm[k] = pos
                 if k != pos:
                     changed = True
         if not changed:
-            return target, None
-        canon = ExponentVector.from_map(
-            self.dim, {perm[k]: dense[k]
-                       for k in range(self.dim) if dense[k] != 0})
-        return canon, perm
+            return v, None
+        canon = [0] * self.dim
+        for k in range(self.dim):
+            canon[perm[k]] = v[k]
+        return tuple(canon), perm
 
     @cached_property
     def _drop_tables(self):
-        """Aggregate feasibility data for a one-shot infeasibility test.
+        """Aggregate feasibility data for a one-shot infeasibility test, in
+        the lattice frame.
 
         Any expression of a target must, for each coordinate k driven
         negative, use at least ceil(-t_k / maxdrop_k) generators with a
@@ -337,46 +322,45 @@ class MonoidPresentation:
         and the total cannot exceed t_k0. This decides integral infeasibility
         the rational relaxation misses.
         """
-        maxdrop = [Fraction(0)] * self.dim
+        gens = self._pack["scaled"]
+        maxdrop = [0] * self.dim
         droppers: list[list[int]] = [[] for _ in range(self.dim)]
         separated = True
-        for j, g in enumerate(self.gens):
-            negs = [k for k, v in g.entries if v < 0]
+        for j, g in enumerate(gens):
+            negs = [k for k in range(self.dim) if g[k] < 0]
             if len(negs) > 1:
                 separated = False
             for k in negs:
                 droppers[k].append(j)
-                d = -g.entry(k)
-                if d > maxdrop[k]:
-                    maxdrop[k] = d
+                if -g[k] > maxdrop[k]:
+                    maxdrop[k] = -g[k]
         nonneg = tuple(
             k0 for k0 in range(self.dim)
-            if all(g.entry(k0) >= 0 for g in self.gens))
+            if all(g[k0] >= 0 for g in gens))
         minpos = {}
         for k0 in nonneg:
-            row = [Fraction(0)] * self.dim
+            row = [0] * self.dim
             for k in range(self.dim):
                 if droppers[k]:
-                    row[k] = min(self.gens[j].entry(k0) for j in droppers[k])
+                    row[k] = min(gens[j][k0] for j in droppers[k])
             if any(row):
                 minpos[k0] = tuple(row)
         return {"maxdrop": tuple(maxdrop), "separated": separated,
                 "minpos": minpos}
 
-    def _infeasible_at_root(self, dense: tuple) -> bool:
+    def _infeasible_at_root(self, v: tuple) -> bool:
         dt = self._drop_tables
         maxdrop = dt["maxdrop"]
         for k in range(self.dim):
-            if dense[k] < 0 and maxdrop[k] == 0:
+            if v[k] < 0 and maxdrop[k] == 0:
                 return True
         for k0, row in dt["minpos"].items():
-            cap = dense[k0]
-            total = Fraction(0)
+            cap = v[k0]
+            total = 0
             for k in range(self.dim):
-                v = dense[k]
-                if v < 0 and row[k] > 0:
-                    units = -math.floor(v / maxdrop[k])
-                    cost = units * row[k]
+                x = v[k]
+                if x < 0 and row[k] > 0:
+                    cost = -(x // maxdrop[k]) * row[k]
                     if dt["separated"]:
                         total += cost
                         if total > cap:
@@ -387,8 +371,9 @@ class MonoidPresentation:
 
     @cached_property
     def _pack(self):
-        """Engine-ready integer data: generators scaled by the denominator
-        bound, sorted by decreasing integer weight (ties by original index)."""
+        """Engine-ready integer data: the lattice frame (generators scaled by
+        the denominator bound s0, in original order), and the same generators
+        sorted by decreasing integer weight (ties by original index)."""
         s0 = self.denominator_bound
         kw = 1
         for w in self.weights:
@@ -410,6 +395,7 @@ class MonoidPresentation:
         return {
             "s0": s0,
             "lam": lam,
+            "scaled": tuple(raw),
             "order": tuple(order),
             "gens_int": gens_int,
             "weights_int": weights_int,
@@ -417,24 +403,91 @@ class MonoidPresentation:
             "cy_ok": cy_ok,
         }
 
+    @cached_property
+    def _gen_lookup(self) -> dict:
+        return {v: j for j, v in enumerate(self._pack["scaled"])}
+
+    # -- the lattice frame -------------------------------------------------
+    #
+    # Every element of S is an integer combination of the generators, so it
+    # lies on the lattice of vectors whose entries are multiples of 1/s0,
+    # s0 the denominator bound. Below the public edges (ExponentVector in,
+    # ExponentVector out) membership, the kill predicate and the ideal layer
+    # work on lattice points: integer tuples equal to the vector times s0.
+
+    def to_lattice(self, e: ExponentVector) -> Optional[tuple[int, ...]]:
+        """e times the denominator bound as an integer tuple, or None when e
+        is off the lattice (no element of S is). A denominator with a prime
+        the bound lacks raises PreconditionViolated."""
+        if e.dim != self.dim:
+            raise ValueError("target dimension mismatch")
+        s0 = self.denominator_bound
+        out = [0] * self.dim
+        for i, x in e.entries:
+            q, r = divmod(x.numerator * s0, x.denominator)
+            if r:
+                self._check_denominators(e)
+                return None
+            out[i] = q
+        return tuple(out)
+
+    def from_lattice(self, v: tuple) -> ExponentVector:
+        """The exponent vector of a lattice point."""
+        s0 = self.denominator_bound
+        return ExponentVector(
+            self.dim, tuple((i, Fraction(x, s0)) for i, x in enumerate(v) if x))
+
+    def lattice_weight(self, v: tuple) -> int:
+        """Integer grading of a lattice point; order-compatible with weight()."""
+        return sum(l * x for l, x in zip(self._pack["lam"], v))
+
     # -- kill predicate ----------------------------------------------------
 
     def is_killed(self, e: ExponentVector, ctx: Optional[SearchContext] = None) -> bool:
-        """True when the monomial is identified with zero in the model."""
-        return self._killed(self.kill, e, ctx)
+        """True when the monomial is identified with zero in the model. A
+        vector off the lattice is no monomial of S, so nothing kills it."""
+        if self.kill is None:
+            return False
+        v = self.to_lattice(e)
+        return v is not None and self.lattice_killed(v, ctx)
 
-    def _killed(self, spec, e, ctx) -> bool:
+    def lattice_killed(self, v: tuple, ctx: Optional[SearchContext] = None) -> bool:
+        """is_killed for a lattice point."""
+        return self._killed(self._lattice_kill, v, ctx)
+
+    @cached_property
+    def _lattice_kill(self):
+        """The kill spec in the lattice frame: entry bounds times s0, kill
+        generators as lattice points (one off the lattice divides no point
+        on it, so it is left out)."""
+        def scale(spec):
+            if spec is None:
+                return None
+            tag = spec[0]
+            if tag == "entry_ge":
+                return (tag, spec[1] * self.denominator_bound)
+            if tag == "ideal_gens":
+                return (tag, tuple(v for v in map(self.to_lattice, spec[1])
+                                   if v is not None))
+            return (tag, scale(spec[1]), scale(spec[2]))
+
+        return scale(self.kill)
+
+    def _killed(self, spec, v, ctx) -> bool:
         if spec is None:
             return False
         tag = spec[0]
         if tag == "entry_ge":
-            return any(v >= spec[1] for _, v in e.entries)
+            return any(x >= spec[1] for x in v)
         if tag == "ideal_gens":
+            if ctx is None:
+                ctx = SearchContext()
             for g in spec[1]:
-                if self.member(e - g, ctx) is not None:
+                if self.lattice_member(tuple(a - b for a, b in zip(v, g)),
+                                       ctx) is not None:
                     return True
             return False
-        return self._killed(spec[1], e, ctx) or self._killed(spec[2], e, ctx)
+        return self._killed(spec[1], v, ctx) or self._killed(spec[2], v, ctx)
 
     # -- membership --------------------------------------------------------
 
@@ -450,11 +503,6 @@ class MonoidPresentation:
             while d % g == 0:
                 d //= g
 
-    def _query_scale(self, target: ExponentVector) -> int:
-        s0 = self.denominator_bound
-        td = target.denominator_lcm()
-        return s0 * td // math.gcd(s0, td)
-
     def member(self, target: ExponentVector,
                ctx: Optional[SearchContext] = None) -> Optional[MonoidMembershipWitness]:
         """Decide target ∈ S; the witness is deterministic.
@@ -463,94 +511,97 @@ class MonoidPresentation:
         interchangeable coordinate groups; for a target already in canonical
         form the witness is the lexicographically smallest multiplicity
         vector with generators ordered by decreasing weight, and otherwise it
-        is that witness pulled back along the coordinate permutation."""
-        if target.dim != self.dim:
-            raise ValueError("target dimension mismatch")
+        is that witness pulled back along the coordinate permutation. A
+        target off the lattice is not a member."""
         if ctx is None:
             ctx = SearchContext()
-        if target.is_zero:
-            return MonoidMembershipWitness(())
-        self._check_denominators(target)
+        v = self.to_lattice(target)
+        if v is None:
+            return None
+        pairs = self.lattice_member(v, ctx)
+        return None if pairs is None else MonoidMembershipWitness(pairs)
+
+    def lattice_member(self, v: tuple,
+                       ctx: SearchContext) -> Optional[tuple[tuple[int, int], ...]]:
+        """member() for a lattice point: the witness's (generator index,
+        multiplicity) pairs, or None."""
+        if not any(v):
+            return ()
         if not self.gens:
             return None
-        wt = self.weight(target)
-        if wt < 0:
+        pack = self._pack
+        wtarget = self.lattice_weight(v)
+        if wtarget < 0:
             return None
-        if self._infeasible_at_root(target.dense()):
+        if self._infeasible_at_root(v):
             ctx.charge_nodes(1)
             return None
 
-        query, perm = self._canonical_target(target)
-        pack = self._pack
-        sq = self._query_scale(query)
-        f = sq // pack["s0"]
-        if f == 1:
-            gens_int = pack["gens_int"]
-            weights_int = pack["weights_int"]
-            tables = pack["tables"]
-        else:
-            gens_int = tuple(tuple(e * f for e in v) for v in pack["gens_int"])
-            weights_int = tuple(w * f for w in pack["weights_int"])
-            tables = _search_py.suffix_tables(gens_int, weights_int, self.dim)
-        lam = pack["lam"]
-        tdense = query.dense()
-        tint = tuple(int(v * sq) for v in tdense)
-        wtarget = sum(lam[k] * tint[k] for k in range(self.dim))
-
-        if self.dim == 1 and 0 <= tint[0] <= _RANK1_BOUND:
-            counts = self._member_rank1(tint[0], gens_int, sq, ctx)
+        query, perm = self._canonical_target(v)
+        gens_int = pack["gens_int"]
+        if self.dim == 1 and 0 <= query[0] <= _RANK1_BOUND:
+            counts = self._member_rank1(query[0], gens_int, ctx)
             if counts is None:
                 return None
         else:
-            memo = self._memo_for(ctx, sq)
             engine = _search_py
-            if pack["cy_ok"] and f == 1 and all(abs(t) < _WEIGHT_LIMIT for t in tint) \
+            if pack["cy_ok"] and all(abs(t) < _WEIGHT_LIMIT for t in query) \
                     and 0 <= wtarget < _WEIGHT_LIMIT:
                 engine = _search_cy
+            minw, posm, negm = pack["tables"]
             status, counts, nodes = engine.run_search(
-                gens_int, weights_int, tables[0], tables[1], tables[2],
-                tint, wtarget, ctx.nodes_left(), memo)
+                gens_int, pack["weights_int"], minw, posm, negm,
+                query, wtarget, ctx.nodes_left(),
+                self._ctx_tables(ctx).setdefault("memo", {}))
             ctx.charge_nodes(nodes)
             if status == _search_py.BUDGET:
                 raise SearchBudgetExceeded(ctx.nodes_used)
             if status == _search_py.NOT_MEMBER:
                 return None
         order = pack["order"]
-        pairs = tuple(sorted((order[j], c) for j, c in enumerate(counts) if c))
+        scaled = pack["scaled"]
+        pairs = sorted((order[j], c) for j, c in enumerate(counts) if c)
         if perm is not None:
             # witness decomposes the canonical target; pull each generator
             # back through the coordinate map to decompose the original
             remapped: dict[int, int] = {}
             for j, c in pairs:
-                gd = self.gens[j].dense()
-                back = tuple(gd[perm[k]] for k in range(self.dim))
-                jj = self._gen_lookup[back]
+                g = scaled[j]
+                jj = self._gen_lookup[tuple(g[perm[k]] for k in range(self.dim))]
                 remapped[jj] = remapped.get(jj, 0) + c
-            pairs = tuple(sorted(remapped.items()))
-        witness = MonoidMembershipWitness(pairs)
-        if witness.resum(self) != target:  # soundness guard; never expected to fire
+            pairs = sorted(remapped.items())
+        acc = [0] * self.dim
+        for j, c in pairs:
+            for k, x in enumerate(scaled[j]):
+                acc[k] += c * x
+        if tuple(acc) != v:  # soundness guard; never expected to fire
             raise AssertionError("membership witness does not re-sum to the target")
-        return witness
+        return tuple(pairs)
 
-    def _member_rank1(self, a: int, gens_int, scale: int,
-                      ctx: SearchContext) -> Optional[list]:
-        """Numerical-semigroup membership by bitset dynamic programming.
-
-        suffix[i] is the reachability bitset of the generator suffix i..end
-        (bit v set when v is a sum from that suffix), built once per query
-        scale and grown geometrically, so a whole batch of queries against
-        the same monoid costs one table build. The witness read-off picks
-        the smallest count for each generator in turn, matching the search
-        engines' lexicographic-first contract.
-        """
-        gvals = tuple(v[0] for v in gens_int)
-        n = len(gvals)
+    def _ctx_tables(self, ctx: SearchContext) -> dict:
+        """This presentation's search tables in the context (rank-1 bitsets,
+        the search memo)."""
         slot = ctx.tables.get(id(self))
         if slot is None or slot[0] is not self:
             slot = (self, {})
             ctx.tables[id(self)] = slot
-        cache = slot[1]
-        entry = cache.get(("rank1", scale))
+        return slot[1]
+
+    def _member_rank1(self, a: int, gens_int,
+                      ctx: SearchContext) -> Optional[list]:
+        """Numerical-semigroup membership by bitset dynamic programming.
+
+        suffix[i] is the reachability bitset of the generator suffix i..end
+        (bit v set when v is a sum from that suffix), built once per context
+        and grown geometrically, so a whole batch of queries against the
+        same monoid costs one table build. The witness read-off picks the
+        smallest count for each generator in turn, matching the search
+        engines' lexicographic-first contract.
+        """
+        gvals = tuple(v[0] for v in gens_int)
+        n = len(gvals)
+        cache = self._ctx_tables(ctx)
+        entry = cache.get("rank1")
         if entry is None or entry[0] < a:
             bound = max(a, 4096, 0 if entry is None else 2 * entry[0])
             mask = (1 << (bound + 1)) - 1
@@ -565,7 +616,7 @@ class MonoidPresentation:
                 suffix[i] = cur
             ctx.charge_nodes(n * max(1, bound.bit_length()))
             entry = (bound, suffix)
-            cache[("rank1", scale)] = entry
+            cache["rank1"] = entry
         suffix = entry[1]
         ctx.charge_nodes(1)
         if not (suffix[0] >> a) & 1:
@@ -585,21 +636,3 @@ class MonoidPresentation:
             counts[i] = c
             rem -= c * g
         return counts
-
-    def _memo_for(self, ctx: SearchContext, scale: int) -> dict:
-        slot = ctx.tables.get(id(self))
-        if slot is None or slot[0] is not self:
-            slot = (self, {})
-            ctx.tables[id(self)] = slot
-        memos = slot[1]
-        memo = memos.get(scale)
-        if memo is None:
-            memo = {}
-            memos[scale] = memo
-        return memo
-
-
-def monoid_member(S: MonoidPresentation, target: ExponentVector,
-                  ctx: Optional[SearchContext] = None) -> Optional[MonoidMembershipWitness]:
-    """Witness decomposition of target over S's generators, or None."""
-    return S.member(target, ctx)

@@ -5,17 +5,23 @@ Ideals are kept with a canonical minimal generator list (ascending weight,
 then lexicographic). Minimality under divisibility is decidable here because
 the grading is positive: a divisor is strictly lighter, so one ascending pass
 with a weight-gap prefilter settles it with very few membership searches.
+
+Below the public edges (generator lists, membership targets and provenance
+keys, all ExponentVector) the layer works in the monoid's lattice frame:
+integer tuples equal to the exponent times the presentation's denominator
+bound, with integer weights (MonoidPresentation.to_lattice).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from operator import add, sub
+from typing import Iterator, Optional
 
 from .budget import SearchContext
 from .errors import PreconditionViolated
-from .exponents import ExponentVector, MonoidPresentation, monoid_member
+from .exponents import ExponentVector, MonoidPresentation
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -38,65 +44,71 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
+    @cached_property
+    def lattice_gens(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(lattice point, integer weight) of each generator, in gens order."""
+        S = self.monoid
+        return tuple((v, S.lattice_weight(v))
+                     for v in (_lattice_gen(S, g) for g in self.gens))
+
     def __repr__(self):
         tag = self.label or "ideal"
         return f"<{tag}: {len(self.gens)} gens>"
 
 
-def _sign_feasible(S: MonoidPresentation, e: ExponentVector) -> bool:
-    # a coordinate can only move in a direction some generator moves it
-    posm = S._pack["tables"][1][0]
-    negm = S._pack["tables"][2][0]
-    for i, v in e.entries:
-        bit = 1 << i
-        if v > 0:
-            if not posm & bit:
-                return False
-        elif not negm & bit:
-            return False
-    return True
+def _lattice_gen(S: MonoidPresentation, g: ExponentVector) -> tuple[int, ...]:
+    v = S.to_lattice(g)
+    if v is None:
+        raise PreconditionViolated(
+            "ideal generators lie in the monoid", f"{g!r} is off its lattice")
+    return v
 
 
-def _maybe_member(S: MonoidPresentation, d: ExponentVector,
-                  ctx: SearchContext, wd: Optional[Fraction] = None) -> bool:
-    """Membership of d in S with cheap rejections before the engine runs.
+def _divides(S: MonoidPresentation, d: tuple, wd: int, ctx: SearchContext) -> bool:
+    """Membership in S of a lattice difference d of weight wd, with cheap
+    rejections before the engine runs.
 
     The prefilters mirror the engine's own root-node prunes, so they never
     change an answer, only skip charged search nodes.
     """
-    if d.is_zero:
+    if not any(d):
         return True
-    if wd is None:
-        wd = S.weight(d)
-    if wd <= 0 or wd < S.min_gen_weight:
+    minw, posm, negm = S._pack["tables"]
+    if wd <= 0 or wd < minw[0]:
         return False
-    if not _sign_feasible(S, d):
-        return False
-    return monoid_member(S, d, ctx) is not None
+    # a coordinate can only move in a direction some generator moves it
+    for k, x in enumerate(d):
+        if x > 0:
+            if not (posm[0] >> k) & 1:
+                return False
+        elif x < 0 and not (negm[0] >> k) & 1:
+            return False
+    return S.lattice_member(d, ctx) is not None
 
 
-def minimalize(S: MonoidPresentation, exps, ctx: SearchContext) -> list[ExponentVector]:
-    """Reduce a generating set to the minimal one under divisibility in S.
+def minimalize(S: MonoidPresentation, points, ctx: SearchContext) -> list[tuple]:
+    """Reduce a generating set of lattice points to the minimal one under
+    divisibility in S, in canonical order.
 
-    Killed (zero-monomial) exponents generate nothing and are dropped.
+    Killed (zero-monomial) points generate nothing and are dropped.
     Positive grading makes the minimal set unique, so the result does not
-    depend on the route that produced `exps`.
+    depend on the route that produced `points`.
     """
     weighted = {}
-    for e in exps:
-        if e not in weighted and not S.is_killed(e, ctx):
-            weighted[e] = S.weight(e)
-    order = sorted(weighted, key=lambda e: (weighted[e], e.lex_key()))
-    minpos = S.min_gen_weight
-    kept: list[ExponentVector] = []
-    kept_w: list[Fraction] = []
+    for v in points:
+        if v not in weighted and not S.lattice_killed(v, ctx):
+            weighted[v] = S.lattice_weight(v)
+    order = sorted(weighted, key=lambda v: (weighted[v], v))
+    minpos = S._pack["tables"][0][0]
+    kept: list[tuple] = []
+    kept_w: list[int] = []
     for cand in order:
         wc = weighted[cand]
         redundant = False
         for k, wk in zip(kept, kept_w):
             if wk > wc - minpos:
                 break  # everything later is heavier still
-            if _maybe_member(S, cand - k, ctx, wc - wk):
+            if _divides(S, tuple(map(sub, cand, k)), wc - wk, ctx):
                 redundant = True
                 break
         if not redundant:
@@ -123,11 +135,11 @@ def monomial_ideal(S: MonoidPresentation, gens, ctx: Optional[SearchContext] = N
                 continue
             if S.is_killed(g, ctx):
                 continue  # the zero element; dropped below
-            if monoid_member(S, g, ctx) is None:
+            if S.member(g, ctx) is None:
                 raise PreconditionViolated(
                     "ideal generators lie in the monoid", f"{g!r} is not in the monoid")
-    kept = minimalize(S, gens, ctx)
-    return MonomialIdeal(S, tuple(kept), label)
+    kept = minimalize(S, [_lattice_gen(S, g) for g in gens], ctx)
+    return MonomialIdeal(S, tuple(map(S.from_lattice, kept)), label)
 
 
 def ideal_member(I: MonomialIdeal, target: ExponentVector,
@@ -135,16 +147,23 @@ def ideal_member(I: MonomialIdeal, target: ExponentVector,
     """Exact membership of the monomial x^target in I.
 
     A killed target is the ring's zero element, which lies in every ideal.
-    Otherwise target is in I iff it is a generator plus a monoid element.
+    Otherwise target is in I iff it is a generator plus a monoid element. A
+    target off the monoid's lattice is no monomial of the ring: not a member.
     """
     if ctx is None:
         ctx = SearchContext()
+    v = I.monoid.to_lattice(target)
+    return v is not None and ideal_lattice_member(I, v, ctx)
+
+
+def ideal_lattice_member(I: MonomialIdeal, v: tuple, ctx: SearchContext) -> bool:
+    """ideal_member for a lattice point of I's monoid."""
     S = I.monoid
-    if S.is_killed(target, ctx):
+    if S.lattice_killed(v, ctx):
         return True
-    wt = S.weight(target)
-    for g in I.gens:
-        if _maybe_member(S, target - g, ctx, wt - S.weight(g)):
+    wv = S.lattice_weight(v)
+    for g, wg in I.lattice_gens:
+        if _divides(S, tuple(map(sub, v, g)), wv - wg, ctx):
             return True
     return False
 
@@ -156,8 +175,8 @@ def ideal_contains_witness(I: MonomialIdeal, J: MonomialIdeal,
         raise PreconditionViolated("same owning monoid")
     if ctx is None:
         ctx = SearchContext()
-    for g in J.gens:
-        if not ideal_member(I, g, ctx):
+    for g, (v, _) in zip(J.gens, J.lattice_gens):
+        if not ideal_lattice_member(I, v, ctx):
             return g
     return None
 
@@ -168,8 +187,35 @@ def ideal_contains(I: MonomialIdeal, J: MonomialIdeal,
     return ideal_contains_witness(I, J, ctx) is None
 
 
-def _dense_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+def ideal_powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
+                 ) -> Iterator[tuple[int, MonomialIdeal, dict[ExponentVector, tuple[int, ...]]]]:
+    """(m, I^m, provenance) for m = 1..mmax, each power minimalize(I^(m-1)·I).
+
+    provenance maps each generator of I^m to one factorization into indices
+    of I's generators (deterministic: first seen in canonical order). A step
+    is enumerated and charged only when the consumer asks for it.
+    """
+    S = I.monoid
+    base = [v for v, _ in I.lattice_gens]
+    # generators of the current power -> provenance, in canonical order
+    layer = {v: (i,) for i, v in enumerate(base)}
+    current = I
+    for m in range(1, mmax + 1):
+        if m > 1 and base:
+            count = len(layer) * len(base)
+            ctx.precheck_multisets(count)
+            ctx.charge_multisets(count)
+            nxt: dict[tuple, tuple[int, ...]] = {}
+            for p, prov in layer.items():
+                for j, g in enumerate(base):
+                    e = tuple(map(add, p, g))
+                    if e not in nxt:
+                        nxt[e] = tuple(sorted(prov + (j,)))
+            kept = minimalize(S, nxt, ctx)
+            layer = {v: nxt[v] for v in kept}
+            current = MonomialIdeal(S, tuple(map(S.from_lattice, kept)),
+                                    f"{I.label or 'I'}^{m}")
+        yield m, current, dict(zip(current.gens, layer.values()))
 
 
 def ideal_power_with_provenance(I: MonomialIdeal, m: int,
@@ -182,37 +228,14 @@ def ideal_power_with_provenance(I: MonomialIdeal, m: int,
         raise PreconditionViolated("m >= 1", f"got {m}")
     if ctx is None:
         ctx = SearchContext()
-    S = I.monoid
-    if I.is_zero:
-        return I, {}
-    gens_dense = [g.dense() for g in I.gens]
-    # current layer: dense exponent -> provenance (tuple of I-gen indices)
-    layer = {gens_dense[i]: (i,) for i in range(len(gens_dense))}
-    current = I
-    for step in range(2, m + 1):
-        ctx.precheck_multisets(len(current.gens) * len(I.gens))
-        ctx.charge_multisets(len(current.gens) * len(I.gens))
-        nxt: dict[tuple, tuple[int, ...]] = {}
-        for p in current.gens:  # canonical order
-            pd = p.dense()
-            prov = layer[pd]
-            for j, gd in enumerate(gens_dense):
-                e = _dense_add(pd, gd)
-                if e not in nxt:
-                    nxt[e] = tuple(sorted(prov + (j,)))
-        exps = [ExponentVector.from_dense(e) for e in nxt]
-        kept = minimalize(S, exps, ctx)
-        current = MonomialIdeal(S, tuple(kept), f"{I.label or 'I'}^{step}")
-        layer = {e.dense(): nxt[e.dense()] for e in kept}
-    prov_out = {ExponentVector.from_dense(d): layer[d] for d in layer}
-    return current, prov_out
+    for _, power, provenance in ideal_powers(I, m, ctx):
+        pass
+    return power, provenance
 
 
 def ideal_power(I: MonomialIdeal, m: int,
                 ctx: Optional[SearchContext] = None) -> MonomialIdeal:
     """The ideal generated by all m-fold products of generators, minimalized."""
-    if m == 1:
-        return I
     power, _ = ideal_power_with_provenance(I, m, ctx)
     return power
 
@@ -261,10 +284,7 @@ def nilpotency_index(I: MonomialIdeal, B: MonomialIdeal, mmax: int,
         ctx = SearchContext()
     if not ideal_contains(I, B, ctx):
         raise PreconditionViolated("B ⊆ I", "the sub-ideal is not inside the ideal")
-    current = I
-    for m in range(1, mmax + 1):
-        if m > 1:
-            current = ideal_power(I, m, ctx)
-        if ideal_contains(B, current, ctx):
+    for m, power, _ in ideal_powers(I, mmax, ctx):
+        if ideal_contains(B, power, ctx):
             return NilpotencyResult(VERIFIED, m)
     return NilpotencyResult(INCONCLUSIVE)

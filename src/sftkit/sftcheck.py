@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .budget import SearchContext
@@ -28,9 +29,10 @@ from .errors import (CombinatorialBudgetExceeded, DegreeBudgetExceeded,
                      UnsupportedModel)
 from .exponents import ExponentVector, scalar_multiple
 from .ideals import (REFUTED as RAD_REFUTED, VERIFIED as RAD_VERIFIED,
-                     ideal_contains_witness, ideal_member, ideal_power,
-                     ideal_power_with_provenance, monomial_ideal,
-                     radical_member, nilpotency_index)
+                     ideal_contains_witness, ideal_lattice_member,
+                     ideal_member, ideal_power, ideal_power_with_provenance,
+                     ideal_powers, monomial_ideal, radical_member,
+                     nilpotency_index)
 from .models import RingModel, build_model
 
 
@@ -96,12 +98,15 @@ def _inconclusive(claim, model, ctx, exc, seed=None) -> VerificationReport:
                    budget_exhausted=type(exc).__name__, message=str(exc))
 
 
-def _is_power_of(n: int, p: int) -> bool:
+def _power_exponent(n: int, p: int) -> Optional[int]:
+    """k with p**k == n, or None when n is no power of p."""
     if n < 1:
-        return False
+        return None
+    k = 0
     while n % p == 0:
         n //= p
-    return n == 1
+        k += 1
+    return k if n == 1 else None
 
 
 def _mix_seed(seed: int, i: int) -> int:
@@ -138,11 +143,11 @@ def _sft_gens_core(model, data, ctx):
                 return {"kind": "generator_power", "generator_index": idx,
                         "power": data.n}
         return None
-    for idx, e in enumerate(data.I.gens):
-        pe = scalar_multiple(e, data.n)
-        if not ideal_member(data.B, pe, ctx):
+    for idx, (v, _) in enumerate(data.I.lattice_gens):
+        if not ideal_lattice_member(data.B, tuple(data.n * x for x in v), ctx):
             return {"kind": "generator_power", "generator_index": idx,
-                    "power": data.n, "exponent": pe}
+                    "power": data.n,
+                    "exponent": scalar_multiple(data.I.gens[idx], data.n)}
     return None
 
 
@@ -190,9 +195,13 @@ def _int_radical_power(B: IntIdeal, g, kmax, ctx) -> Optional[int]:
 
 def _minimal_index_core(model, I, B, cap, ctx) -> Optional[int]:
     """Least n ≤ cap with I^n ⊆ B, or None. Preconditions already checked."""
-    for n in range(1, cap + 1):
-        data = SftData(I=I, B=B, n=n)
-        if _vsft_core(model, data, ctx) is None:
+    if isinstance(I, IntIdeal):
+        for n in range(1, cap + 1):
+            if _vsft_core(model, SftData(I=I, B=B, n=n), ctx) is None:
+                return n
+        return None
+    for n, power, _ in ideal_powers(I, cap, ctx):
+        if ideal_contains_witness(B, power, ctx) is None:
             return n
     return None
 
@@ -275,8 +284,8 @@ def certify_sft_all_elements(model: RingModel, data: SftData,
     p = model.char.value
     n = data.n
     try:
-        if p > 0 and _is_power_of(n, p):
-            k = round(math.log(n, p)) if n > 1 else 0
+        k = _power_exponent(n, p) if p > 0 else None
+        if k is not None:
             cert = Certificate("FrobeniusCharP", (("p", p), ("k", k)))
             return _report(claim, Verdict.VERIFIED, model, ctx, exact=True,
                            certificate=cert)
@@ -362,6 +371,10 @@ def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
         raise TruncationTooSmall(
             f"kmax {kmax} exceeds the {len(gens)} distinct generators available")
     int_model = isinstance(I, IntIdeal)
+    if not int_model:
+        if I.monoid is not B.monoid and I.monoid != B.monoid:
+            raise PreconditionViolated("same owning monoid")
+        points = [v for v, _ in I.lattice_gens]
     member_cache: dict = {}
     per_k = []
     last_witness = None
@@ -379,18 +392,17 @@ def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
                     inside = B.contains(prod)
                     key = None
                 else:
-                    e = gens[combo[0]]
+                    key = points[combo[0]]
                     for j in combo[1:]:
-                        e = e + gens[j]
-                    key = e
+                        key = tuple(map(add, key, points[j]))
                     inside = member_cache.get(key)
                     if inside is None:
-                        inside = ideal_member(B, e, ctx)
+                        inside = ideal_lattice_member(B, key, ctx)
                         member_cache[key] = inside
                 if not inside:
                     found = {"k": k, "factors": list(combo)}
                     if key is not None:
-                        found["exponent"] = key
+                        found["exponent"] = I.monoid.from_lattice(key)
                     break
             per_k.append({"k": k, "witness": found})
             if found is not None:
@@ -552,16 +564,17 @@ def modified_radical_power_index(model: RingModel, I, J, data_for_J: SftData,
                 raise PreconditionViolated("I ⊆ √J", f"{g!r} stays outside")
     try:
         k_found = None
-        for k in range(1, kmax + 1):
-            if int_model:
-                ok = all(I.contains(prod) for _, prod in
-                         _int_power_products(J.gens, k, ctx))
-            else:
-                Jk = ideal_power(J, k, ctx)
-                ok = ideal_contains_witness(I, Jk, ctx) is None
-            if ok:
-                k_found = k
-                break
+        if int_model:
+            for k in range(1, kmax + 1):
+                if all(I.contains(prod) for _, prod in
+                       _int_power_products(J.gens, k, ctx)):
+                    k_found = k
+                    break
+        else:
+            for k, Jk, _ in ideal_powers(J, kmax, ctx):
+                if ideal_contains_witness(I, Jk, ctx) is None:
+                    k_found = k
+                    break
         if k_found is None:
             return _report(claim, Verdict.INCONCLUSIVE_AT_TRUNCATION, model,
                            ctx, exact=True, kmax=kmax)
@@ -637,8 +650,8 @@ def check_extension_vsft(model: RingModel, data: SftData, degree: int,
             prod = combo[0]
             for f in combo[1:]:
                 prod = element_multiply(prod, f, ctx)
-            assert element_in_ideal(prod, data.B, ctx), \
-                "t-layer contradicts the exact containment"
+            if not element_in_ideal(prod, data.B, ctx):
+                raise AssertionError("t-layer contradicts the exact containment")
             checked += 1
         # sampled general products
         for i in range(samples):

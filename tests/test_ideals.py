@@ -18,6 +18,7 @@ import pytest
 from sftkit.budget import Budgets, SearchContext
 from sftkit.errors import CombinatorialBudgetExceeded, PreconditionViolated
 from sftkit.exponents import ExponentVector, MonoidPresentation
+from sftkit.models import build_model
 from sftkit.ideals import (
     INCONCLUSIVE,
     REFUTED,
@@ -28,6 +29,7 @@ from sftkit.ideals import (
     ideal_member,
     ideal_power,
     ideal_power_with_provenance,
+    ideal_powers,
     minimalize,
     monomial_ideal,
     nilpotency_index,
@@ -109,10 +111,16 @@ EVEN_X = presentation((2, 0), (0, 1))
 MIXED = presentation((1, -1, 0), (1, 0, -1), (0, 1, 0), (0, 0, 1), weights=(2, 1, 1))
 
 
+def minimal(S, exps, ctx=None):
+    """minimalize() across the lattice edge: exponent vectors in and out."""
+    points = [S.to_lattice(e) for e in exps]
+    return [S.from_lattice(v)
+            for v in minimalize(S, points, ctx or SearchContext())]
+
+
 class TestMinimalize:
     def test_divisor_chain_collapses(self):
-        ctx = SearchContext()
-        kept = minimalize(ORTHANT, [ev(3, 0), ev(1, 0), ev(2, 0)], ctx)
+        kept = minimal(ORTHANT, [ev(3, 0), ev(1, 0), ev(2, 0)])
         assert kept == [ev(1, 0)]
 
     def test_matches_oracle_on_random_sets(self):
@@ -120,27 +128,27 @@ class TestMinimalize:
         elements = enumerate_monoid(ORTHANT, 20)
         for _ in range(60):
             exps = [ev(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 6))]
-            kept = minimalize(ORTHANT, exps, SearchContext())
+            kept = minimal(ORTHANT, exps)
             assert set(kept) == oracle_minimal(ORTHANT, elements, exps)
 
     def test_result_ignores_input_order(self):
         rng = random.Random(3)
         exps = [ev(2, 1), ev(1, 3), ev(4, 0), ev(2, 2), ev(0, 5)]
-        base = minimalize(ORTHANT, list(exps), SearchContext())
+        base = minimal(ORTHANT, list(exps))
         for _ in range(5):
             rng.shuffle(exps)
-            assert minimalize(ORTHANT, exps, SearchContext()) == base
+            assert minimal(ORTHANT, exps) == base
 
     def test_killed_generators_generate_nothing(self):
         S = presentation((1, 0), (0, 1), kill=("entry_ge", 3))
-        kept = minimalize(S, [ev(4, 0), ev(0, 2)], SearchContext())
+        kept = minimal(S, [ev(4, 0), ev(0, 2)])
         assert kept == [ev(0, 2)]
 
     def test_minimal_in_monoid_not_just_orthant(self):
         # (2,0) divides (3,0) in EVEN_X only if (1,0) is in the monoid; it is not
-        kept = minimalize(EVEN_X, [ev(2, 0), ev(3, 0)], SearchContext())
+        kept = minimal(EVEN_X, [ev(2, 0), ev(3, 0)])
         assert set(kept) == {ev(2, 0), ev(3, 0)}
-        assert minimalize(EVEN_X, [ev(2, 0), ev(4, 0)], SearchContext()) == [ev(2, 0)]
+        assert minimal(EVEN_X, [ev(2, 0), ev(4, 0)]) == [ev(2, 0)]
 
 
 class TestConstructor:
@@ -254,6 +262,96 @@ def oracle_power_gens(S, elements, I, m):
             acc = tuple(a + b for a, b in zip(acc, I.gens[j].dense()))
         sums.add(ExponentVector.from_dense(acc))
     return oracle_minimal(S, elements, sums)
+
+
+def reference_minimalize(S, exps):
+    """The Fraction-vector minimalize the lattice version replaced."""
+    weighted = {}
+    for e in exps:
+        if e not in weighted and not S.is_killed(e):
+            weighted[e] = S.weight(e)
+    order = sorted(weighted, key=lambda e: (weighted[e], e.lex_key()))
+    kept = []
+    for cand in order:
+        if not any(S.member(cand - k) is not None for k in kept
+                   if S.weight(k) < weighted[cand]):
+            kept.append(cand)
+    return kept
+
+
+def reference_powers(I, mmax):
+    """The Fraction-vector power loop the lattice version replaced: yields
+    (gens of I^m, provenance) for m = 1..mmax."""
+    gens_dense = [g.dense() for g in I.gens]
+    layer = {d: (i,) for i, d in enumerate(gens_dense)}
+    current = list(I.gens)
+    for m in range(1, mmax + 1):
+        if m > 1 and gens_dense:
+            nxt = {}
+            for p in current:
+                prov = layer[p.dense()]
+                for j, gd in enumerate(gens_dense):
+                    e = tuple(x + y for x, y in zip(p.dense(), gd))
+                    if e not in nxt:
+                        nxt[e] = tuple(sorted(prov + (j,)))
+            current = reference_minimalize(
+                I.monoid, [ExponentVector.from_dense(e) for e in nxt])
+            layer = {e.dense(): nxt[e.dense()] for e in current}
+        yield list(current), {e: layer[e.dense()] for e in current}
+
+
+def power_pairs():
+    yield "orthant", monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)])
+    yield "mixed", monomial_ideal(MIXED, [ev(1, 0, -1), ev(0, 1, 1)])
+    yield "even_x", monomial_ideal(EVEN_X, [ev(2, 0), ev(0, 1)])
+    models = [build_model("char2_xy", v=5, D=10), build_model("dyadic", nmax=8),
+              build_model("rational_valuation", denBound=3)]
+    for m, (a, b) in zip(models, [("I", "B"), ("max", "two"), ("xV", "x")]):
+        yield f"{m.name}:{a}", m.ideal(a)
+        yield f"{m.name}:{b}", m.ideal(b)
+
+
+class TestLatticeFrame:
+    @pytest.mark.parametrize("name,I", list(power_pairs()),
+                             ids=[n for n, _ in power_pairs()])
+    def test_powers_match_fraction_reference(self, name, I):
+        ctx = SearchContext()
+        ref = reference_powers(I, 4)
+        for (m, P, prov), (want_gens, want_prov) in zip(
+                ideal_powers(I, 4, ctx), ref):
+            assert list(P.gens) == want_gens, (name, m)
+            assert list(prov.items()) == list(want_prov.items()), (name, m)
+            Q, qprov = ideal_power_with_provenance(I, m)
+            assert Q.gens == P.gens and qprov == prov
+        assert m == 4
+
+    def test_each_power_enumerated_once(self):
+        I = monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)])
+        ctx = SearchContext()
+        sizes = [len(P.gens) for _, P, _ in ideal_powers(I, 4, ctx)]
+        assert ctx.multisets_used == sum(n * len(I.gens) for n in sizes[:-1])
+        one = SearchContext()
+        ideal_power(I, 4, one)
+        assert one.multisets_used == ctx.multisets_used
+
+    def test_target_off_the_lattice_is_not_a_member(self):
+        # denominator bound 2; 5/4 has denominator 4 = 2^2, which divides
+        # s0^2 but not s0, so no integer combination reaches it
+        S = presentation((Fraction(1, 2),), (Fraction(3, 2),))
+        I = monomial_ideal(S, [ev(Fraction(1, 2))])
+        ctx = SearchContext()
+        assert S.member(ev(Fraction(5, 4)), ctx) is None
+        assert not ideal_member(I, ev(Fraction(5, 4)), ctx)
+        assert ctx.nodes_used == 0  # decided without a search
+        assert ideal_member(I, ev(Fraction(5, 2)))
+
+    def test_denominator_prime_to_the_bound_is_rejected(self):
+        S = presentation((Fraction(1, 2),), (Fraction(3, 2),))
+        I = monomial_ideal(S, [ev(Fraction(1, 2))])
+        with pytest.raises(PreconditionViolated):
+            ideal_member(I, ev(Fraction(5, 3)))
+        with pytest.raises(PreconditionViolated):
+            S.member(ev(Fraction(1, 6)))
 
 
 class TestIdealPower:

@@ -10,9 +10,15 @@ the opposite verdict.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+
+import sftkit
 
 from sftkit.budget import Budgets, SearchContext
 from sftkit.elements import (element_in_ideal, element_multiply,
@@ -44,6 +50,7 @@ from sftkit.sftcheck import (
     verify_sft_generators,
     verify_vsft,
 )
+from sftkit.sftcheck import _power_exponent
 from sftkit.suite import claim_seed, exit_code, run_claim, run_suite
 
 
@@ -140,6 +147,20 @@ class TestCertificates:
             z = random_element(m.ring, m.ideal("max"), 2, seed=100 + i, ctx=ctx)
             assert element_in_ideal(element_power(z, 2, ctx),
                                     m.ideal("zero"), ctx)
+
+    def test_frobenius_certificate_k_above_one(self):
+        m = MODELS["frobenius_p2"]
+        data = build_sft_data(m, m.ideal("max"), m.ideal("zero"), 8)
+        rep = certify_sft_all_elements(m, data, SearchContext(), seed=7)
+        assert rep.certificate == Certificate("FrobeniusCharP",
+                                              (("p", 2), ("k", 3)))
+
+    def test_frobenius_exponent_is_exact(self):
+        assert _power_exponent(1, 3) == 0
+        assert _power_exponent(3 ** 40, 3) == 40
+        assert _power_exponent(2 ** 200, 2) == 200
+        assert _power_exponent(2 ** 200 + 2, 2) is None
+        assert _power_exponent(12, 2) is None
 
     def test_diagonal_dominance_certificate_matches_sampled_reality(self):
         m = MODELS["int_plus_2x"]
@@ -374,6 +395,32 @@ class TestExtensionChecks:
         rep = check_extension_vsft(m, data, degree=0, ctx=SearchContext())
         assert rep.verdict is Verdict.VERIFIED
         assert "degree 0" in rep.details["note"]
+
+    def test_t_layer_contradiction_raises_under_optimize(self):
+        # the cross-check must survive python -O, which strips asserts
+        script = textwrap.dedent("""
+            import sys
+            import sftkit.sftcheck as sc
+            from sftkit.models import int_plus_2x
+            assert False, "asserts are live"  # stripped under -O
+            m = int_plus_2x(3)
+            data = sc.build_sft_data(m, m.ideal("full"), m.ideal("two"), 2)
+            sc.element_in_ideal = lambda *args, **kwargs: False
+            try:
+                sc.check_extension_vsft(m, data, degree=1, samples=0)
+            except AssertionError as exc:
+                print("raised:", exc)
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(sftkit.__file__)),
+             env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "t-layer contradicts the exact containment" in out.stdout
 
     def test_extension_exponent_frobenius(self):
         m = MODELS["frobenius_p3"]
