@@ -13,17 +13,17 @@ from .arith import (AlaResult, FloorInequalityResult, PrimeChar,
                     check_floor_inequality, is_prime, legendre, multinomial,
                     padic_valuation, primes_up_to)
 from .budget import PROFILES, Budgets, SearchContext, budgets_from_env
-from .errors import (CombinatorialBudgetExceeded, CompositionMismatch,
-                     DegreeBudgetExceeded, NoCertificateApplicable,
-                     PreconditionViolated, SchemaError, SearchBudgetExceeded,
+from .errors import (BudgetExceeded, CombinatorialBudgetExceeded,
+                     CompositionMismatch, DegreeBudgetExceeded,
+                     NoCertificateApplicable, PreconditionViolated,
+                     SampleBudgetExceeded, SchemaError, SearchBudgetExceeded,
                      SftkitError, TruncationTooSmall, UnknownExample,
                      UnsupportedIdeal, UnsupportedModel)
 from .exponents import (ExponentVector, MonoidMembershipWitness,
                         MonoidPresentation, scalar_multiple)
-from .ideals import (MonomialIdeal, NilpotencyResult, RadicalResult,
-                     ideal_contains, ideal_contains_witness, ideal_member,
-                     ideal_power, monomial_ideal, nilpotency_index,
-                     radical_member)
+from .ideals import (MonomialIdeal, ideal_contains, ideal_contains_witness,
+                     ideal_member, ideal_power, monomial_ideal,
+                     nilpotency_index, radical_member)
 from .elements import (CharPMonoidRing, DyadicRing, Int2xRing, IntIdeal,
                        PolyElement, element_add, element_in_ideal,
                        element_multiply, element_power, element_scale,

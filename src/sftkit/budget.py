@@ -2,8 +2,9 @@
 
 Every potentially expensive loop charges one of three meters: search nodes
 (membership DFS), multisets (product enumeration), samples (randomized
-checks). Exceeding a meter raises; the checking layer reports the operation
-as inconclusive. A fresh SearchContext is created per top-level check so the
+checks); the polynomial degree is capped as well. Exceeding any of them
+raises a BudgetExceeded; the checking layer reports the operation as
+inconclusive. A fresh SearchContext is created per top-level check so the
 consumed numbers in a report depend only on that check's inputs, never on
 what ran before it.
 """
@@ -14,7 +15,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import CombinatorialBudgetExceeded, SearchBudgetExceeded
+from .errors import (CombinatorialBudgetExceeded, SampleBudgetExceeded,
+                     SearchBudgetExceeded)
 
 ENV_PROFILE = "SFTKIT_BUDGET_PROFILE"
 
@@ -79,6 +81,9 @@ class SearchContext:
 
     def charge_samples(self, n: int = 1) -> None:
         self.samples_used += n
+        if self.samples_used > self.budgets.samples:
+            raise SampleBudgetExceeded(
+                f"sampling exceeded {self.budgets.samples} samples")
 
     def used(self) -> dict[str, int]:
         return {

@@ -17,6 +17,7 @@ extra variable t, tracked as a plain integer degree on each term.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -246,6 +247,9 @@ class IntIdeal:
     thresh), v_high (k > thresh); relax_at, when set, lowers the requirement
     at that single degree to v0 (used for quotient images). Generators are
     kept for product enumeration.
+
+    Carries the ideal protocol the verdict layer is written against (see
+    MonomialIdeal), on PolyElements.
     """
 
     v0: int
@@ -263,13 +267,56 @@ class IntIdeal:
             return self.v0
         return self.v_low if xdeg <= self.thresh else self.v_high
 
-    def contains(self, f: PolyElement) -> bool:
+    @property
+    def generators(self) -> tuple[PolyElement, ...]:
+        return self.gens
+
+    def contains(self, f: PolyElement, ctx: Optional[SearchContext] = None) -> bool:
         for (xd, _td), c in f.terms:
             if _v2_int(c) < self.required(xd):
                 return False
         return True
 
-    def power(self, m: int) -> "IntIdeal":
+    def multiply(self, f: PolyElement, g: PolyElement,
+                 ctx: Optional[SearchContext] = None) -> PolyElement:
+        return element_multiply(f, g, ctx)
+
+    def products(self, n: int, ctx: SearchContext):
+        """(factors, product) for every n-fold product of generators,
+        multiset-enumerated; charged in full when iteration starts."""
+        gens = self.gens
+        count = math.comb(len(gens) + n - 1, n)
+        ctx.precheck_multisets(count)
+        ctx.charge_multisets(count)
+        for combo in itertools.combinations_with_replacement(range(len(gens)), n):
+            prod = gens[combo[0]]
+            for j in combo[1:]:
+                prod = element_multiply(prod, gens[j], ctx)
+            yield combo, prod
+
+    def powers(self, mmax: int, ctx: SearchContext):
+        """(m, products(m)) for m = 1..mmax; each enumerated on its own."""
+        for m in range(1, mmax + 1):
+            yield m, self.products(m, ctx)
+
+    def radical_index(self, g: PolyElement, kmax: int,
+                      ctx: Optional[SearchContext] = None) -> Optional[int]:
+        """Least k <= kmax with g^k in the ideal, or None."""
+        cur = g
+        for k in range(1, kmax + 1):
+            if self.contains(cur):
+                return k
+            if k < kmax:
+                cur = element_multiply(cur, g, ctx)
+        return None
+
+    def witness(self, f: PolyElement) -> dict:
+        return {}
+
+    def generator_elements(self, ring) -> list[PolyElement]:
+        return list(self.gens)
+
+    def power(self, m: int, ctx: Optional[SearchContext] = None) -> "IntIdeal":
         if m < 1:
             raise PreconditionViolated("m >= 1", f"got {m}")
         if m == 1:

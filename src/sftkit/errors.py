@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-Budget exceptions are caught by the checking layer and turned into
-inconclusive verdicts; they never surface as a wrong answer.
+Budget exceptions share the base BudgetExceeded, which the checking layer
+catches once per operation and turns into an inconclusive verdict; they
+never surface as a wrong answer.
 """
 
 from __future__ import annotations
@@ -27,20 +28,28 @@ class CompositionMismatch(SftkitError):
     """Multinomial arguments do not sum to the required total."""
 
 
-class SearchBudgetExceeded(SftkitError):
-    """Membership search ran out of nodes. Reported as inconclusive."""
+class BudgetExceeded(SftkitError):
+    """A work meter ran out. Reported as inconclusive, never as a verdict."""
+
+
+class SearchBudgetExceeded(BudgetExceeded):
+    """Membership search ran out of nodes."""
 
     def __init__(self, nodes: int):
         self.nodes = nodes
         super().__init__(f"membership search exceeded {nodes} nodes")
 
 
-class CombinatorialBudgetExceeded(SftkitError):
+class CombinatorialBudgetExceeded(BudgetExceeded):
     """Product enumeration would exceed the multiset cap."""
 
 
-class DegreeBudgetExceeded(SftkitError):
+class DegreeBudgetExceeded(BudgetExceeded):
     """Polynomial degree grew past the configured truncation."""
+
+
+class SampleBudgetExceeded(BudgetExceeded):
+    """A randomized check drew more samples than the budget allows."""
 
 
 class TruncationTooSmall(SftkitError):

@@ -10,6 +10,13 @@ Below the public edges (generator lists, membership targets and provenance
 keys, all ExponentVector) the layer works in the monoid's lattice frame:
 integer tuples equal to the exponent times the presentation's denominator
 bound, with integer weights (MonoidPresentation.to_lattice).
+
+MonomialIdeal also carries the ideal protocol the verdict layer is written
+against (the integer model's IntIdeal carries the same methods): its
+elements are lattice points, `generators` lists them, `contains`,
+`multiply`, `power`, `products`, `powers` and `radical_index` work on them,
+`witness` names one in a report and `generator_elements` turns the
+generators into ring elements.
 """
 
 from __future__ import annotations
@@ -22,11 +29,6 @@ from typing import Iterator, Optional
 from .budget import SearchContext
 from .errors import PreconditionViolated
 from .exponents import ExponentVector, MonoidPresentation
-
-VERIFIED = "verified"
-REFUTED = "refuted"
-INCONCLUSIVE = "inconclusive"
-
 
 @dataclass(frozen=True)
 class MonomialIdeal:
@@ -54,6 +56,46 @@ class MonomialIdeal:
     def __repr__(self):
         tag = self.label or "ideal"
         return f"<{tag}: {len(self.gens)} gens>"
+
+    # -- the ideal protocol, on lattice points
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(v for v, _ in self.lattice_gens)
+
+    def contains(self, v: tuple, ctx: Optional[SearchContext] = None) -> bool:
+        return ideal_lattice_member(self, v, ctx or SearchContext())
+
+    def multiply(self, v: tuple, w: tuple, ctx=None) -> tuple:
+        return tuple(map(add, v, w))
+
+    def power(self, m: int, ctx: Optional[SearchContext] = None) -> "MonomialIdeal":
+        return ideal_power(self, m, ctx)
+
+    def products(self, n: int, ctx: Optional[SearchContext] = None) -> list:
+        """(factors, point) for each generator of I^n; factors index gens."""
+        return _factored(*ideal_power_with_provenance(self, n, ctx))
+
+    def powers(self, mmax: int, ctx: SearchContext) -> Iterator[tuple[int, list]]:
+        """(m, products(m)) for m = 1..mmax, each power built on the last."""
+        for m, power, provenance in ideal_powers(self, mmax, ctx):
+            yield m, _factored(power, provenance)
+
+    def radical_index(self, v: tuple, kmax: int,
+                      ctx: Optional[SearchContext] = None) -> Optional[int]:
+        return radical_member(self, self.monoid.from_lattice(v), kmax, ctx)
+
+    def witness(self, v: tuple) -> dict:
+        return {"exponent": self.monoid.from_lattice(v)}
+
+    def generator_elements(self, ring) -> list:
+        from .elements import monomial_element  # elements imports this module
+        return [monomial_element(ring, e, 1, 0) for e in self.gens]
+
+
+def _factored(power: MonomialIdeal, provenance: dict) -> list:
+    # ideal_powers keys provenance by power.gens, in that order
+    return list(zip(provenance.values(), power.generators))
 
 
 def _lattice_gen(S: MonoidPresentation, g: ExponentVector) -> tuple[int, ...]:
@@ -240,44 +282,27 @@ def ideal_power(I: MonomialIdeal, m: int,
     return power
 
 
-@dataclass(frozen=True)
-class RadicalResult:
-    status: str  # verified | refuted | inconclusive
-    k: Optional[int] = None
-
-
 def radical_member(B: MonomialIdeal, target: ExponentVector, kmax: int,
-                   ctx: Optional[SearchContext] = None) -> RadicalResult:
-    """Least k <= kmax with k*target in B.
+                   ctx: Optional[SearchContext] = None) -> Optional[int]:
+    """Least k <= kmax with k*target in B, or None.
 
-    The only refutation this can issue is for the zero exponent vector, whose
-    powers are all itself, so non-membership is decided for every power at
-    once. Everything else that fails up to kmax is inconclusive: a larger
-    power might still land in B.
+    None decides nothing for a nonzero target: a larger power might still
+    land in B. The zero exponent vector is its own every power, so it is
+    tested once and None then means no power lies in B.
     """
     if kmax < 1:
         raise PreconditionViolated("kmax >= 1", f"got {kmax}")
     if ctx is None:
         ctx = SearchContext()
-    if target.is_zero:
-        if ideal_member(B, target, ctx):
-            return RadicalResult(VERIFIED, 1)
-        return RadicalResult(REFUTED)
-    for k in range(1, kmax + 1):
+    for k in range(1, (1 if target.is_zero else kmax) + 1):
         if ideal_member(B, target.scale(k), ctx):
-            return RadicalResult(VERIFIED, k)
-    return RadicalResult(INCONCLUSIVE)
-
-
-@dataclass(frozen=True)
-class NilpotencyResult:
-    status: str  # verified | inconclusive
-    m: Optional[int] = None
+            return k
+    return None
 
 
 def nilpotency_index(I: MonomialIdeal, B: MonomialIdeal, mmax: int,
-                     ctx: Optional[SearchContext] = None) -> NilpotencyResult:
-    """Least m <= mmax with I^m ⊆ B. Requires B ⊆ I."""
+                     ctx: Optional[SearchContext] = None) -> Optional[int]:
+    """Least m <= mmax with I^m ⊆ B, or None. Requires B ⊆ I."""
     if mmax < 1:
         raise PreconditionViolated("mmax >= 1", f"got {mmax}")
     if ctx is None:
@@ -286,5 +311,5 @@ def nilpotency_index(I: MonomialIdeal, B: MonomialIdeal, mmax: int,
         raise PreconditionViolated("B ⊆ I", "the sub-ideal is not inside the ideal")
     for m, power, _ in ideal_powers(I, mmax, ctx):
         if ideal_contains(B, power, ctx):
-            return NilpotencyResult(VERIFIED, m)
-    return NilpotencyResult(INCONCLUSIVE)
+            return m
+    return None

@@ -16,17 +16,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .budget import Budgets, SearchContext, budgets_from_env
-from .elements import IntIdeal, make_element, monomial_element
+from .elements import make_element, monomial_element
 from .errors import SftkitError, UnknownExample, UnsupportedModel
 from .exponents import ExponentVector, scalar_multiple
-from .ideals import ideal_power, monomial_ideal
+from .ideals import monomial_ideal
 from .models import CatalogClaim, RingModel, catalog_models
 from .sftcheck import (SftData, Verdict, VerificationReport, anyradical_index,
                        build_sft_data, certify_sft_all_elements,
                        check_extension_vsft, check_power_data,
                        check_quotient_pushforward, check_radical_equal,
                        check_sft_extension_exponent, divergence_table,
-                       find_vsft_witness, minimal_vsft_index,
+                       find_vsft_witness, inconclusive_on_budget,
+                       minimal_vsft_index,
                        modified_radical_power_index, strong_convergence_check,
                        valuation_non_sft_scan, verify_sft_generators,
                        verify_vsft)
@@ -98,36 +99,39 @@ def _parse_kernel(model, tokens):
 def _modified_ideal(model, J, idef, ctx):
     """The I of a modified-radical claim, derived from J: ["power", m] is
     the full m-th power, ["gen_powers", m] the ideal of m-th generator
-    powers (smaller, same radical)."""
+    powers (smaller, same radical; monoid models only)."""
     op, m = idef
-    if isinstance(J, IntIdeal):
-        if op == "power":
-            return J.power(m)
-        raise UnsupportedModel(f"I_def {op!r} undefined for the integer model")
     if op == "power":
-        return ideal_power(J, m, ctx)
-    if op == "gen_powers":
+        return J.power(m, ctx)
+    if op == "gen_powers" and not model.is_integer_model:
         return monomial_ideal(
             model.monoid, tuple(scalar_multiple(g, m) for g in J.gens),
             ctx, label=f"{J.label}[{m}]", verify_membership=False)
-    raise UnsupportedModel(f"unknown ideal derivation {op!r}")
+    raise UnsupportedModel(f"I_def {op!r} undefined for {model.name}")
 
 
 def run_claim(claim: CatalogClaim, models: Optional[dict] = None,
               seed: int = 0, budgets: Optional[Budgets] = None
               ) -> VerificationReport:
     """Execute one claim and return its report (expectations not compared
-    here; see check_expectations)."""
+    here; see check_expectations). Budget exhaustion anywhere, in the
+    operation or in building its inputs, is an inconclusive report."""
     models = catalog_models() if models is None else models
     ctx = SearchContext(budgets=budgets or budgets_from_env())
-    cseed = claim_seed(seed, claim.id)
-    p = claim.param_map
-    kind = claim.kind
     model: Optional[RingModel] = None
     if claim.model:
         if claim.model not in models:
             raise UnknownExample(claim.model, sorted(models))
         model = models[claim.model]
+    return inconclusive_on_budget(
+        claim.id, model, ctx,
+        lambda: _dispatch(claim, model, ctx, claim_seed(seed, claim.id)))
+
+
+def _dispatch(claim: CatalogClaim, model: Optional[RingModel],
+              ctx: SearchContext, cseed: int) -> VerificationReport:
+    p = claim.param_map
+    kind = claim.kind
 
     def data(n: int) -> SftData:
         return build_sft_data(model, model.ideal(p["I"]),
@@ -301,7 +305,10 @@ def run_example(model: RingModel, seed: int = 0,
         return SearchContext(budgets=budgets)
 
     ctx = fresh()
-    d = build_sft_data(model, I, B, n, ctx)
+    d = inconclusive_on_budget(f"{tag}/sft-data", model, ctx,
+                               lambda: build_sft_data(model, I, B, n, ctx))
+    if isinstance(d, VerificationReport):
+        return [d]
     reports.append(verify_sft_generators(model, d, ctx,
                                          claim=f"{tag}/sft-generators"))
     reports.append(certify_sft_all_elements(

@@ -10,6 +10,9 @@ unexpected verdict, 2 inconclusive at budget, 3 input error.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -281,6 +284,26 @@ class TestVerifyCommand:
         norm2 = [dumps_record(drop_timing(json.loads(l)))
                  for l in out2.splitlines()]
         assert norm1 == norm2
+
+    def test_machine_output_is_identical_across_processes(self, tmp_path):
+        # both ideal kinds (monomial and integer model) through every claim
+        # kind they carry; frac-divergence alone takes ~15 s and is left out
+        ids = [c.id for c in catalog_claims()
+               if c.id.startswith(("fr", "int-", "xy-", "dy-"))
+               and c.id != "frac-divergence"]
+        path = write_claims(tmp_path, [claim_by_id(i) for i in ids])
+        outs = []
+        for hashseed in ("1", "777"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            run = subprocess.run(
+                [sys.executable, "-m", "sftkit.cli", "verify", path,
+                 "--format", "machine"],
+                capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            outs.append([dumps_record(drop_timing(json.loads(l)))
+                         for l in run.stdout.splitlines()])
+        assert len(outs[0]) == len(ids)
+        assert outs[0] == outs[1]
 
     def test_verify_writes_output_file(self, tmp_path):
         path = write_claims(tmp_path, [claim_by_id("fr2-sft-gens")])

@@ -20,7 +20,7 @@ import pytest
 
 import sftkit
 
-from sftkit.budget import Budgets, SearchContext
+from sftkit.budget import PROFILES, Budgets, SearchContext
 from sftkit.elements import (element_in_ideal, element_multiply,
                              element_power, monomial_element, random_element)
 from sftkit.errors import (PreconditionViolated, TruncationTooSmall,
@@ -45,6 +45,7 @@ from sftkit.sftcheck import (
     divergence_table,
     find_vsft_witness,
     minimal_vsft_index,
+    modified_radical_power_index,
     strong_convergence_check,
     valuation_non_sft_scan,
     verify_sft_generators,
@@ -215,6 +216,38 @@ class TestBudgetPolicy:
                                 ctx=SearchContext(Budgets(multisets=2)))
         assert rep.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
         assert rep.details["budget_exhausted"] == "CombinatorialBudgetExceeded"
+
+    def test_sample_budget_is_enforced(self):
+        m = MODELS["frobenius_p3"]
+        data = build_sft_data(m, m.ideal("max"), m.ideal("zero"), 3)
+        rep = check_sft_extension_exponent(
+            m, data, degree=3, samples=5,
+            ctx=SearchContext(Budgets(samples=3)))
+        assert rep.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
+        assert rep.details["budget_exhausted"] == "SampleBudgetExceeded"
+
+    def test_exhaustion_in_preconditions_is_inconclusive(self):
+        # the I ⊆ √B admissibility check multiplies past x-degree 16
+        m = MODELS["int_plus_2x"]
+        I, B = m.ideal("full"), m.ideal("two")
+        tight = Budgets(degree_cap=16)
+        rep = minimal_vsft_index(m, I, B, cap=4, ctx=SearchContext(tight))
+        assert rep.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
+        assert rep.details["budget_exhausted"] == "DegreeBudgetExceeded"
+        data_j = build_sft_data(m, I, B, 2)
+        rep = modified_radical_power_index(m, I.power(2), I, data_j, kmax=4,
+                                           ctx=SearchContext(tight))
+        assert rep.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
+        assert rep.details["budget_exhausted"] == "DegreeBudgetExceeded"
+
+    def test_quick_profile_only_costs_conclusiveness(self):
+        results = run_suite(catalog_claims(), models=MODELS, seed=0,
+                            budgets=PROFILES["quick"])
+        assert not [(r.claim.id, r.error) for r in results if r.error]
+        for r in results:
+            assert r.report.verdict.value in (
+                r.claim.expected, Verdict.INCONCLUSIVE_AT_TRUNCATION.value)
+        assert exit_code(results) == 2
 
     def test_reports_carry_budget_usage(self):
         used = rerun("fr2-sft-gens").budgets_used
