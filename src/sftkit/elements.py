@@ -12,6 +12,17 @@ Three coefficient regimes:
 Elements are immutable term maps with a canonical term order, so equality is
 structural. Every ring also handles the degree-1 polynomial extension by one
 extra variable t, tracked as a plain integer degree on each term.
+
+Over the two monoid rings a stored term key is (lattice point, t-degree): the
+point is the exponent times the monoid's denominator bound, the integer
+frame the ideal layer works in (MonoidPresentation.to_lattice), so a product
+of monomials is a tuple add and the kill predicate and ideal membership take
+the point as it is. An exponent off the lattice (say 3/4 on a monoid whose
+generators have denominator 2) keeps its exact value at the same scale: that
+entry is a Fraction, every integral entry an int, and such a monomial is
+never killed and never in an ideal. ExponentVector stays at the edges:
+make_element and monomial_element take (ExponentVector, tdeg) keys and
+convert them once, and PolyElement.terms is the ExponentVector view.
 """
 
 from __future__ import annotations
@@ -20,13 +31,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Optional, Union
 
 from .budget import SearchContext
 from .errors import (DegreeBudgetExceeded, PreconditionViolated,
                      UnsupportedIdeal)
 from .exponents import ExponentVector, MonoidPresentation
-from .ideals import MonomialIdeal, ideal_member
+from .ideals import MonomialIdeal, ideal_lattice_member
 
 
 def _v2_int(n: int) -> int:
@@ -44,43 +57,89 @@ def _v2_frac(q: Fraction) -> int:
     return _v2_int(q.numerator) - _v2_int(q.denominator)
 
 
+def _on_lattice(v: tuple) -> bool:
+    return all(type(x) is int for x in v)
+
+
+def _exact(v: tuple) -> tuple:
+    """v with integral Fraction entries (sums of two off-lattice entries can
+    be integral) turned into ints."""
+    return tuple(x if type(x) is int or x.denominator != 1 else x.numerator
+                 for x in v)
+
+
 # ---------------------------------------------------------------------------
 # rings
 
 
 @dataclass(frozen=True)
-class CharPMonoidRing:
-    """Monoid algebra over the prime field F_p, truncated by the monoid's
-    zero-monomial predicate."""
+class _MonoidRing:
+    """Term keys of a monoid ring: (lattice point, tdeg) stored,
+    (ExponentVector, tdeg) at the edges."""
 
     monoid: MonoidPresentation
-    p: int
 
-    def normalize(self, terms, ctx: Optional[SearchContext] = None):
-        acc: dict[tuple[ExponentVector, int], int] = {}
-        for (e, td), c in terms:
-            c = c % self.p
-            if c == 0:
-                continue
-            k = (e, td)
-            acc[k] = (acc.get(k, 0) + c) % self.p
+    def stored_terms(self, terms):
+        S = self.monoid
+        s0 = S.denominator_bound
         out = []
-        for (e, td), c in acc.items():
-            if c == 0:
-                continue
-            if self.monoid.is_killed(e, ctx):
-                continue
-            out.append(((e, td), c))
-        out.sort(key=lambda t: (t[0][1], self.monoid.weight(t[0][0]), t[0][0].lex_key()))
-        return tuple(out)
+        for (e, td), c in terms:
+            if e.dim != S.dim:
+                raise ValueError("exponent dimension mismatch")
+            v = [0] * S.dim
+            for i, x in e.entries:
+                y = x * s0
+                v[i] = y.numerator if y.denominator == 1 else y
+            out.append(((tuple(v), td), c))
+        return out
+
+    def edge_terms(self, stored) -> tuple:
+        from_lattice = self.monoid.from_lattice
+        return tuple(((from_lattice(v), td), c) for (v, td), c in stored)
 
     def term_mul(self, k1, c1, k2, c2):
-        (e1, t1), (e2, t2) = k1, k2
-        return (e1 + e2, t1 + t2), c1 * c2
+        (v1, t1), (v2, t2) = k1, k2
+        return (tuple(map(add, v1, v2)), t1 + t2), c1 * c2
 
 
 @dataclass(frozen=True)
-class DyadicRing:
+class CharPMonoidRing(_MonoidRing):
+    """Monoid algebra over the prime field F_p, truncated by the monoid's
+    zero-monomial predicate."""
+
+    p: int
+
+    def normalize(self, terms, ctx: Optional[SearchContext] = None):
+        p = self.p
+        acc: dict[tuple[tuple, int], int] = {}
+        for k, c in terms:
+            c %= p
+            if c:
+                acc[k] = acc.get(k, 0) + c
+        S = self.monoid
+        weight = S.lattice_weight
+        killable = S.kill is not None
+        out = []
+        for (v, td), c in acc.items():
+            c %= p
+            if not c:
+                continue
+            w = weight(v)
+            if type(w) is not int:  # some entry is a Fraction
+                v = _exact(v)
+                if not _on_lattice(v):
+                    out.append((td, w, v, c))
+                    continue
+                w = weight(v)
+            if killable and S.lattice_killed(v, ctx):
+                continue
+            out.append((td, w, v, c))
+        out.sort()  # keys are distinct, so c never decides
+        return tuple(((v, td), c) for td, _w, v, c in out)
+
+
+@dataclass(frozen=True)
+class DyadicRing(_MonoidRing):
     """Rank-1 monoid algebra with 2-adically local coefficients.
 
     The weight-1 generator is the scalar 2, so c * x^e with c of 2-valuation
@@ -89,13 +148,12 @@ class DyadicRing:
     termwise.
     """
 
-    monoid: MonoidPresentation
-
     def normalize(self, terms, ctx: Optional[SearchContext] = None):
-        acc: dict[tuple[ExponentVector, int], Fraction] = {}
-        pending = [((e, td), Fraction(c)) for (e, td), c in terms]
+        s0 = self.monoid.denominator_bound
+        acc: dict[tuple[tuple, int], Fraction] = {}
+        pending = [(k, Fraction(c)) for k, c in terms]
         while pending:
-            (e, td), c = pending.pop()
+            k, c = pending.pop()
             if c == 0:
                 continue
             if c.denominator % 2 == 0:
@@ -103,9 +161,8 @@ class DyadicRing:
                     "coefficients are 2-adically integral", f"got {c}")
             v = _v2_frac(c)
             if v:
-                e = e + ExponentVector.unit(1, 0, v)
+                k = ((k[0][0] + v * s0,) + k[0][1:], k[1])
                 c = c / (1 << v)
-            k = (e, td)
             prev = acc.pop(k, None)
             if prev is None:
                 acc[k] = c
@@ -114,19 +171,21 @@ class DyadicRing:
                 if s != 0:
                     # the sum of two units is even; refold at a higher exponent
                     pending.append((k, s))
-        out = [((e, td), c) for (e, td), c in acc.items()]
-        out.sort(key=lambda t: (t[0][1], t[0][0].lex_key()))
+        out = [((_exact(v), td), c) for (v, td), c in acc.items()]
+        out.sort(key=lambda t: (t[0][1], t[0][0]))
         return tuple(out)
-
-    def term_mul(self, k1, c1, k2, c2):
-        (e1, t1), (e2, t2) = k1, k2
-        return (e1 + e2, t1 + t2), c1 * c2
 
 
 @dataclass(frozen=True)
 class Int2xRing:
     """Z + 2xZ[x]: integer polynomials whose nonconstant coefficients are
-    even. Term keys are (x-degree, t-degree)."""
+    even. Term keys are (x-degree, t-degree), stored and at the edges."""
+
+    def stored_terms(self, terms):
+        return terms
+
+    def edge_terms(self, stored) -> tuple:
+        return stored
 
     def normalize(self, terms, ctx: Optional[SearchContext] = None):
         acc: dict[tuple[int, int], int] = {}
@@ -155,20 +214,37 @@ Ring = Union[CharPMonoidRing, DyadicRing, Int2xRing]
 
 @dataclass(frozen=True)
 class PolyElement:
+    """An element as its stored terms ((key, coeff), ...), in the ring's
+    canonical order: t-degree first, so the last term has the largest.
+
+    Monoid rings store (lattice point, tdeg) keys (see the module docstring,
+    off-lattice exponents included); the integer model stores (xdeg, tdeg).
+    `terms` is the read-only view with the edge keys, (ExponentVector, tdeg)
+    on monoid rings, that reports and repr show.
+    """
+
     ring: Ring
-    terms: tuple  # ((key, coeff), ...) canonical
+    stored: tuple
+
+    @cached_property
+    def terms(self) -> tuple:
+        return self.ring.edge_terms(self.stored)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.stored
 
     def max_tdeg(self) -> int:
-        return max((k[1] for k, _ in self.terms), default=0)
+        return self.stored[-1][0][1] if self.stored else 0
 
     def max_xdeg(self) -> int:
         if not isinstance(self.ring, Int2xRing):
             raise UnsupportedIdeal("x-degree only exists in the integer model")
-        return max((k[0] for k, _ in self.terms), default=0)
+        return self._max_xdeg
+
+    @cached_property
+    def _max_xdeg(self) -> int:
+        return max((k[0] for k, _ in self.stored), default=0)
 
     def __repr__(self):
         if self.is_zero:
@@ -181,10 +257,14 @@ class PolyElement:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def _element(ring: Ring, stored, ctx: Optional[SearchContext]) -> PolyElement:
+    return PolyElement(ring, ring.normalize(stored, ctx))
+
+
 def make_element(ring: Ring, terms, ctx: Optional[SearchContext] = None) -> PolyElement:
     """Element from (key, coeff) pairs; keys are (ExponentVector, tdeg) for
     monoid rings and (xdeg, tdeg) for the integer model."""
-    return PolyElement(ring, ring.normalize(terms, ctx))
+    return _element(ring, ring.stored_terms(terms), ctx)
 
 
 def zero_element(ring: Ring) -> PolyElement:
@@ -195,7 +275,7 @@ def element_add(f: PolyElement, g: PolyElement,
                 ctx: Optional[SearchContext] = None) -> PolyElement:
     if f.ring != g.ring:
         raise PreconditionViolated("operands share a model")
-    return make_element(f.ring, list(f.terms) + list(g.terms), ctx)
+    return _element(f.ring, f.stored + g.stored, ctx)
 
 
 def element_multiply(f: PolyElement, g: PolyElement,
@@ -207,18 +287,17 @@ def element_multiply(f: PolyElement, g: PolyElement,
     if ctx is None:
         ctx = SearchContext()
     cap = ctx.budgets.degree_cap
-    if f.max_tdeg() + g.max_tdeg() > cap:
-        raise DegreeBudgetExceeded(
-            f"t-degree {f.max_tdeg() + g.max_tdeg()} exceeds cap {cap}")
-    if isinstance(f.ring, Int2xRing) and f.max_xdeg() + g.max_xdeg() > cap:
-        raise DegreeBudgetExceeded(
-            f"x-degree {f.max_xdeg() + g.max_xdeg()} exceeds cap {cap}")
+    tdeg = f.max_tdeg() + g.max_tdeg()
+    if tdeg > cap:
+        raise DegreeBudgetExceeded(f"t-degree {tdeg} exceeds cap {cap}")
     ring = f.ring
-    raw = []
-    for k1, c1 in f.terms:
-        for k2, c2 in g.terms:
-            raw.append(ring.term_mul(k1, c1, k2, c2))
-    return make_element(ring, raw, ctx)
+    if isinstance(ring, Int2xRing):
+        xdeg = f.max_xdeg() + g.max_xdeg()
+        if xdeg > cap:
+            raise DegreeBudgetExceeded(f"x-degree {xdeg} exceeds cap {cap}")
+    mul = ring.term_mul
+    return _element(ring, [mul(k1, c1, k2, c2)
+                           for k1, c1 in f.stored for k2, c2 in g.stored], ctx)
 
 
 def element_power(f: PolyElement, n: int,
@@ -232,7 +311,7 @@ def element_power(f: PolyElement, n: int,
 
 
 def element_scale(f: PolyElement, c, ctx: Optional[SearchContext] = None) -> PolyElement:
-    return make_element(f.ring, [(k, coeff * c) for k, coeff in f.terms], ctx)
+    return _element(f.ring, [(k, coeff * c) for k, coeff in f.stored], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +351,7 @@ class IntIdeal:
         return self.gens
 
     def contains(self, f: PolyElement, ctx: Optional[SearchContext] = None) -> bool:
-        for (xd, _td), c in f.terms:
+        for (xd, _td), c in f.stored:
             if _v2_int(c) < self.required(xd):
                 return False
         return True
@@ -360,7 +439,8 @@ def element_in_ideal(f: PolyElement, ideal, ctx: Optional[SearchContext] = None)
 
     Monoid models: every term's monomial must lie in the (monomial) ideal;
     the t-degree rides along free because the extension is by a polynomial
-    variable. Integer model: the per-degree 2-valuation predicate.
+    variable. A monomial off the lattice lies in no ideal. Integer model:
+    the per-degree 2-valuation predicate.
     """
     if ctx is None:
         ctx = SearchContext()
@@ -372,10 +452,20 @@ def element_in_ideal(f: PolyElement, ideal, ctx: Optional[SearchContext] = None)
         raise UnsupportedIdeal(f"unknown ideal handle {type(ideal).__name__}")
     if isinstance(f.ring, Int2xRing):
         raise UnsupportedIdeal("monomial ideal applied to an integer-model element")
-    for (e, _td), _c in f.terms:
-        if not ideal_member(ideal, e, ctx):
+    _check_frame(f.ring.monoid, ideal)
+    for (v, _td), _c in f.stored:
+        if not (_on_lattice(v) and ideal_lattice_member(ideal, v, ctx)):
             return False
     return True
+
+
+def _check_frame(S: MonoidPresentation, ideal: MonomialIdeal):
+    """Lattice points of S mean the same exponents in the ideal's monoid."""
+    T = ideal.monoid
+    if T is not S and (T.dim, T.denominator_bound) != (S.dim, S.denominator_bound):
+        raise PreconditionViolated(
+            "element and ideal share a lattice frame",
+            f"ring monoid {S.name!r}, ideal monoid {T.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +506,22 @@ def _sample_once(ring, ideal, degree_bound, rng, ctx):
             mult = make_element(ring, [((0, td), a), ((max(xk, 1), 0), 2 * b)], ctx)
             terms.append(element_multiply(g, mult, ctx))
     else:
-        gens = ideal.gens
+        _check_frame(ring.monoid, ideal)
+        gens = ideal.generators
         if not gens:
             return zero_element(ring)
-        mgens = ring.monoid.gens
+        mgens = ring.monoid._pack["scaled"]
         for _ in range(nsum):
             g = gens[rng.randrange(len(gens))]
-            e = g
+            v = g
             for _k in range(rng.randint(0, 2)):
-                e = e + mgens[rng.randrange(len(mgens))]
+                v = tuple(map(add, v, mgens[rng.randrange(len(mgens))]))
             td = rng.randint(0, degree_bound)
             if isinstance(ring, CharPMonoidRing):
                 coeff = rng.randint(1, ring.p - 1) if ring.p > 2 else 1
             else:
                 coeff = rng.choice([1, 3, -1, 5])
-            terms.append(monomial_element(ring, e, coeff, td, ctx))
+            terms.append(_element(ring, [((v, td), coeff)], ctx))
     out = zero_element(ring)
     for t in terms:
         out = element_add(out, t, ctx)
@@ -444,18 +535,20 @@ def alive_ideal_monomials(ring: CharPMonoidRing, I: MonomialIdeal,
     S = ring.monoid
     if not (S.kill and S.kill[0] == "entry_ge"):
         raise UnsupportedIdeal("finite enumeration needs an entry-bounded quotient")
-    p = S.kill[1]
+    _check_frame(S, I)
+    if ctx is None:
+        ctx = SearchContext()
+    s0 = S.denominator_bound
     out = []
-    for combo in itertools.product(range(p), repeat=S.dim):
-        e = ExponentVector.from_dense(combo)
-        if ideal_member(I, e, ctx) and not S.is_killed(e, ctx):
-            out.append(e)
-    out.sort(key=lambda e: (S.weight(e), e.lex_key()))
-    return out
+    for combo in itertools.product(range(0, S.kill[1] * s0, s0), repeat=S.dim):
+        if ideal_lattice_member(I, combo, ctx) and not S.lattice_killed(combo, ctx):
+            out.append(combo)
+    out.sort(key=lambda v: (S.lattice_weight(v), v))
+    return [S.from_lattice(v) for v in out]
 
 
 def enumerate_ideal_elements(ring: CharPMonoidRing, monomials, ctx=None):
     """Every F_p-combination of the given monomials, zero included."""
-    p = ring.p
-    for coeffs in itertools.product(range(p), repeat=len(monomials)):
-        yield make_element(ring, [((e, 0), c) for e, c in zip(monomials, coeffs)], ctx)
+    keys = [k for k, _ in ring.stored_terms(((e, 0), 1) for e in monomials)]
+    for coeffs in itertools.product(range(ring.p), repeat=len(keys)):
+        yield _element(ring, list(zip(keys, coeffs)), ctx)

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional
 
 from . import _search_py
@@ -439,7 +440,7 @@ class MonoidPresentation:
 
     def lattice_weight(self, v: tuple) -> int:
         """Integer grading of a lattice point; order-compatible with weight()."""
-        return sum(l * x for l, x in zip(self._pack["lam"], v))
+        return sum(map(mul, self._pack["lam"], v))
 
     # -- kill predicate ----------------------------------------------------
 
@@ -478,7 +479,7 @@ class MonoidPresentation:
             return False
         tag = spec[0]
         if tag == "entry_ge":
-            return any(x >= spec[1] for x in v)
+            return max(v) >= spec[1]
         if tag == "ideal_gens":
             if ctx is None:
                 ctx = SearchContext()

@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Optional
 
 from .arith import PrimeChar
+from .budget import SearchContext
 from .elements import (CharPMonoidRing, DyadicRing, Int2xRing,
                        int_ideal_full, int_ideal_two)
 from .errors import PreconditionViolated, UnknownExample
@@ -67,7 +68,8 @@ def _params(**kw) -> tuple:
 # constructors
 
 
-def frobenius_quotient(p: int = 2, v: int = 5) -> RingModel:
+def frobenius_quotient(p: int = 2, v: int = 5,
+                       ctx: Optional[SearchContext] = None) -> RingModel:
     """F_p[x_1..x_v] with every monomial containing an x_i^p set to zero.
     The maximal ideal is nilpotent but its index grows with v."""
     if v < 1:
@@ -79,8 +81,8 @@ def frobenius_quotient(p: int = 2, v: int = 5) -> RingModel:
         kill=("entry_ge", p), name=f"frobenius-p{p}-v{v}")
     ring = CharPMonoidRing(S, p)
     ideals = (
-        ("max", monomial_ideal(S, units, label="max")),
-        ("zero", monomial_ideal(S, (), label="zero")),
+        ("max", monomial_ideal(S, units, ctx, label="max")),
+        ("zero", monomial_ideal(S, (), ctx, label="zero")),
     )
     return RingModel(
         name=f"frobenius(p={p},v={v})", family="frobenius_quotient",
@@ -89,7 +91,8 @@ def frobenius_quotient(p: int = 2, v: int = 5) -> RingModel:
         witness_pattern="product of k distinct variables, nonzero while k <= v(p-1)")
 
 
-def fraction_monoid(v: int = 5, M: int = 4) -> RingModel:
+def fraction_monoid(v: int = 5, M: int = 4,
+                    ctx: Optional[SearchContext] = None) -> RingModel:
     """Char-2 monoid algebra on y, x_1..x_v and the fractions y/x_i^m for
     m <= M. Grading weights the y coordinate M+1 so every fraction keeps a
     positive weight."""
@@ -112,9 +115,9 @@ def fraction_monoid(v: int = 5, M: int = 4) -> RingModel:
         ExponentVector.from_map(dim, {0: Fraction(1), i: Fraction(-1)})
         for i in range(1, dim))
     ideals = (
-        ("frac", monomial_ideal(S, first_level, label="frac")),
-        ("y", monomial_ideal(S, (y,), label="y")),
-        ("max", monomial_ideal(S, gens, label="max")),
+        ("frac", monomial_ideal(S, first_level, ctx, label="frac")),
+        ("y", monomial_ideal(S, (y,), ctx, label="y")),
+        ("max", monomial_ideal(S, gens, ctx, label="max")),
     )
     return RingModel(
         name=f"fraction(v={v},M={M})", family="fraction_monoid",
@@ -123,7 +126,7 @@ def fraction_monoid(v: int = 5, M: int = 4) -> RingModel:
         witness_pattern="(y/x_i)(y/x_j) for distinct i, j")
 
 
-def int_plus_2x(D: int = 10) -> RingModel:
+def int_plus_2x(D: int = 10, ctx: Optional[SearchContext] = None) -> RingModel:
     """Z + 2xZ[x] truncated at x-degree D; coefficients are genuine
     integers, so ideal membership is the 2-valuation predicate."""
     if D < 1:
@@ -139,7 +142,8 @@ def int_plus_2x(D: int = 10) -> RingModel:
         ideals=ideals, witness_pattern=None)
 
 
-def char2_xy(v: int = 5, D: int = 10) -> RingModel:
+def char2_xy(v: int = 5, D: int = 10,
+             ctx: Optional[SearchContext] = None) -> RingModel:
     """Char-2 monoid algebra generated by X^2, X*Y_i, Y_i^2 (coordinates:
     slot 0 carries the X-exponent, slot i the Y_i-exponent). The Y_i^2
     generators stand in for invertible coefficient-field elements, so the
@@ -158,9 +162,9 @@ def char2_xy(v: int = 5, D: int = 10) -> RingModel:
                            weights=(Fraction(1),) * dim, name=f"char2xy-v{v}")
     ring = CharPMonoidRing(S, 2)
     ideals = (
-        ("I", monomial_ideal(S, (a,) + bs, label="I")),
-        ("B", monomial_ideal(S, (a,), label="B")),
-        ("max", monomial_ideal(S, gens, label="max")),
+        ("I", monomial_ideal(S, (a,) + bs, ctx, label="I")),
+        ("B", monomial_ideal(S, (a,), ctx, label="B")),
+        ("max", monomial_ideal(S, gens, ctx, label="max")),
     )
     return RingModel(
         name=f"char2_xy(v={v},D={D})", family="char2_xy",
@@ -169,7 +173,7 @@ def char2_xy(v: int = 5, D: int = 10) -> RingModel:
         witness_pattern="product of k distinct XY_i factors")
 
 
-def dyadic(nmax: int = 8) -> RingModel:
+def dyadic(nmax: int = 8, ctx: Optional[SearchContext] = None) -> RingModel:
     """Rank-1 monoid over Q generated by 1 and n + 2^-n for n <= nmax, with
     2-adically local coefficients; the generator 1 is the scalar 2."""
     if nmax < 2:
@@ -181,8 +185,8 @@ def dyadic(nmax: int = 8) -> RingModel:
                            name=f"dyadic-n{nmax}")
     ring = DyadicRing(S)
     ideals = (
-        ("max", monomial_ideal(S, gens, label="max")),
-        ("two", monomial_ideal(S, (gens[0],), label="two")),
+        ("max", monomial_ideal(S, gens, ctx, label="max")),
+        ("two", monomial_ideal(S, (gens[0],), ctx, label="two")),
     )
     return RingModel(
         name=f"dyadic(nmax={nmax})", family="dyadic",
@@ -191,7 +195,8 @@ def dyadic(nmax: int = 8) -> RingModel:
         witness_pattern="product of k distinct generators n + 2^-n")
 
 
-def rational_valuation(denBound: int = 6) -> RingModel:
+def rational_valuation(denBound: int = 6,
+                       ctx: Optional[SearchContext] = None) -> RingModel:
     """F_2 + xV at denominator bound d: rank-1 monoid generated by every
     1 + k/d! with 0 <= k < d!. All generators are minimal, so xV needs all
     of them; (x) is the principal sub-ideal."""
@@ -204,8 +209,8 @@ def rational_valuation(denBound: int = 6) -> RingModel:
                            name=f"xv-den{denBound}")
     ring = CharPMonoidRing(S, 2)
     ideals = (
-        ("xV", monomial_ideal(S, gens, label="xV")),
-        ("x", monomial_ideal(S, (gens[0],), label="x")),
+        ("xV", monomial_ideal(S, gens, ctx, label="xV")),
+        ("x", monomial_ideal(S, (gens[0],), ctx, label="x")),
     )
     return RingModel(
         name=f"rational_valuation(denBound={denBound})",
@@ -224,12 +229,17 @@ FAMILIES = {
 }
 
 
-def build_model(family: str, **params) -> RingModel:
+def build_model(family: str, ctx: Optional[SearchContext] = None,
+                **params) -> RingModel:
+    """The family's model at these parameters. The membership searches that
+    building its ideals runs are charged to ctx (a fresh context if None)."""
     try:
         ctor = FAMILIES[family]
     except KeyError:
         raise UnknownExample(family, sorted(FAMILIES)) from None
-    return ctor(**params)
+    if ctx is not None and not isinstance(ctx, SearchContext):
+        raise TypeError(f"{family}() got an unexpected keyword argument 'ctx'")
+    return ctor(**params, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------

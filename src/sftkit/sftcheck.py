@@ -390,7 +390,9 @@ def divergence_table(family: str, level_key: str, levels, fixed: dict,
     A strictly increasing table on a model with a declared witness family is
     the computable signature of an index that exists at no finite value:
     verdict refuted_family. A constant table is verdict verified. Running
-    out of budget reports the truncation of the level that ran out.
+    out of budget reports the truncation of the level that ran out. Each
+    level's model is built on ctx, so the searches that build its ideals
+    count in the report's budgets.
     """
     levels = list(levels)
     if len(levels) < 2:
@@ -398,7 +400,7 @@ def divergence_table(family: str, level_key: str, levels, fixed: dict,
                                    f"got {levels!r}")
     table = []
     for level in levels:
-        m = build_model(family, **{**fixed, level_key: level})
+        m = build_model(family, ctx, **{**fixed, level_key: level})
         n = inconclusive_on_budget(claim, m, ctx, lambda: _minimal_index_core(
             m.ideal(I_name), m.ideal(B_name), cap, ctx))
         if isinstance(n, VerificationReport):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftkit.budget import Budgets, SearchContext
 from sftkit.errors import (DegreeBudgetExceeded, PreconditionViolated,
@@ -35,7 +37,9 @@ from sftkit.elements import (
     zero_element,
 )
 from sftkit.exponents import ExponentVector, MonoidPresentation
+from sftkit.files import jsonify
 from sftkit.ideals import monomial_ideal
+from sftkit.models import catalog_models
 
 
 def ev(*vals) -> ExponentVector:
@@ -46,6 +50,7 @@ PLANE = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1))
 PLANE_T2 = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1), kill=("entry_ge", 2))
 PLANE_T3 = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1), kill=("entry_ge", 3))
 HALF_LINE = MonoidPresentation(1, (ev(1), ev(Fraction(1, 2))), (1,))
+CATALOG = catalog_models()
 
 
 class TestCharPNormalization:
@@ -330,3 +335,167 @@ class TestFiniteEnumeration:
         assert sum(1 for f in elems if f.is_zero) == 1
         for f in elems:
             assert element_in_ideal(f, I)
+
+
+# ---------------------------------------------------------------------------
+# a Fraction-keyed dictionary oracle for the stored lattice-point terms
+#
+# Elements of the oracle are dicts {(dense Fraction exponent, tdeg): coeff}
+# kept in term order. Membership in the monoids below is read off the
+# coordinates (every generator is a unit vector times 1/d), so the kill
+# predicates are decided without the search engines.
+
+HALF_PLANE_T2 = MonoidPresentation(2, (ev(Fraction(1, 2), 0), ev(0, 1)), (1, 2),
+                                   kill=("entry_ge", 2))
+PLANE_IG = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1),
+                              kill=("ideal_gens", (ev(2, 1), ev(0, 3))))
+PLANE_OR = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (2, 1),
+                              kill=("or", ("entry_ge", 3),
+                                    ("ideal_gens", (ev(1, 1),))))
+_UNIT_DENOMS = {HALF_PLANE_T2: (2, 1), PLANE_IG: (1, 1), PLANE_OR: (1, 1)}
+
+
+def _oracle_in_monoid(S, e) -> bool:
+    return all(x >= 0 and (x * d).denominator == 1
+               for x, d in zip(e, _UNIT_DENOMS[S]))
+
+
+def _oracle_killed(S, spec, e) -> bool:
+    if spec is None:
+        return False
+    if spec[0] == "entry_ge":
+        return any(x >= spec[1] for x in e)
+    if spec[0] == "ideal_gens":
+        return any(_oracle_in_monoid(S, tuple(a - b for a, b in zip(e, g.dense())))
+                   for g in spec[1])
+    return _oracle_killed(S, spec[1], e) or _oracle_killed(S, spec[2], e)
+
+
+def _oracle_charp(R, pairs) -> dict:
+    S = R.monoid
+    acc: dict = {}
+    for (e, td), c in pairs:
+        acc[(e, td)] = (acc.get((e, td), 0) + c) % R.p
+    s0 = S.denominator_bound
+    alive = {k: c for k, c in acc.items() if c and not (
+        all((x * s0).denominator == 1 for x in k[0])  # off the lattice: kept
+        and _oracle_killed(S, S.kill, k[0]))}
+    weight = lambda e: sum(w * x for w, x in zip(S.weights, e))  # noqa: E731
+    return dict(sorted(alive.items(),
+                       key=lambda kc: (kc[0][1], weight(kc[0][0]), kc[0][0])))
+
+
+def _oracle_dyadic(pairs) -> dict:
+    # the same refolding stack as DyadicRing, on Fraction exponents
+    acc: dict = {}
+    pending = [(k, Fraction(c)) for k, c in pairs]
+    while pending:
+        (e, td), c = pending.pop()
+        if c == 0:
+            continue
+        v = 0  # 2-valuation; denominators stay odd
+        while c.numerator % 2 ** (v + 1) == 0:
+            v += 1
+        k = ((e[0] + v,), td)
+        c = c / 2 ** v
+        prev = acc.pop(k, None)
+        if prev is None:
+            acc[k] = c
+        elif prev + c != 0:
+            pending.append((k, prev + c))
+    return dict(sorted(acc.items(), key=lambda kc: (kc[0][1], kc[0][0])))
+
+
+def _oracle(R, pairs) -> dict:
+    if isinstance(R, DyadicRing):
+        return _oracle_dyadic(pairs)
+    return _oracle_charp(R, pairs)
+
+
+def _ev_pairs(pairs):
+    return [((ExponentVector.from_dense(e), td), c) for (e, td), c in pairs]
+
+
+def _assert_matches(f, oracle: dict):
+    terms = tuple(((ExponentVector.from_dense(e), td), c)
+                  for (e, td), c in oracle.items())
+    assert f.terms == terms
+    body = " + ".join(f"{c}*{k}" for k, c in terms[:6])
+    body += " + ..." if len(terms) > 6 else ""
+    assert repr(f) == (f"Poly({body})" if terms else "Poly(0)")
+    assert jsonify(f) == {"terms": [
+        [[str(x) for x in e], td, str(c) if isinstance(c, Fraction) else c]
+        for (e, td), c in oracle.items()]}
+
+
+# exponent entries on and off each monoid's lattice (denominators 1, 2, 4)
+_ENTRY = st.builds(Fraction, st.integers(-2, 5), st.sampled_from([1, 2, 4]))
+
+
+def _pairs(dim: int, coeff):
+    key = st.tuples(st.tuples(*[_ENTRY] * dim), st.integers(0, 2))
+    return st.lists(st.tuples(key, coeff), max_size=5)
+
+
+_CHARP_COEFF = st.integers(-3, 6)
+_DYADIC_COEFF = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3]))
+
+
+class TestLatticeTermsMatchOracle:
+    @pytest.mark.parametrize("S,p", [(HALF_PLANE_T2, 3), (PLANE_IG, 2),
+                                     (PLANE_OR, 5)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_charp(self, S, p, data):
+        R = CharPMonoidRing(S, p)
+        self._check(R, data.draw(_pairs(2, _CHARP_COEFF)),
+                    data.draw(_pairs(2, _CHARP_COEFF)),
+                    data.draw(st.integers(-3, 7)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=_pairs(1, _DYADIC_COEFF), g=_pairs(1, _DYADIC_COEFF),
+           s=st.sampled_from([1, -1, 2, 3, 6, Fraction(4, 3)]))
+    def test_dyadic_refolding(self, f, g, s):
+        self._check(DyadicRing(HALF_LINE), f, g, s)
+
+    @staticmethod
+    def _check(R, fp, gp, s):
+        f, g = make_element(R, _ev_pairs(fp)), make_element(R, _ev_pairs(gp))
+        of, og = _oracle(R, fp), _oracle(R, gp)
+        _assert_matches(f, of)
+        _assert_matches(g, og)
+        _assert_matches(element_add(f, g), _oracle(R, list(of.items()) + list(og.items())))
+        _assert_matches(element_multiply(f, g), _oracle(R, [
+            ((tuple(a + b for a, b in zip(e1, e2)), t1 + t2), c1 * c2)
+            for (e1, t1), c1 in of.items() for (e2, t2), c2 in og.items()]))
+        _assert_matches(element_scale(f, s),
+                        _oracle(R, [(k, c * s) for k, c in of.items()]))
+
+
+class TestSamplesArePinned:
+    """random_element draws in a fixed rng order, so a seed names one
+    element in every frame the terms are kept in; these reprs pin it."""
+
+    PINNED = {
+        ("frobenius_p2", "max", 0): "Poly(1*(EV(1:1)@5, 1) + 1*(EV(0:1,3:1)@5, 1))",
+        ("frobenius_p2", "max", 7): "Poly(1*(EV(0:1,3:1)@5, 0) + 1*(EV(0:1)@5, 1))",
+        ("frobenius_p2", "max", 12345): "Poly(1*(EV(2:1,4:1)@5, 0) + 1*(EV(1:1,2:1,3:1)@5, 1))",
+        ("frobenius_p3", "max", 0): "Poly(2*(EV(1:1)@5, 1) + 1*(EV(1:1,3:1)@5, 1))",
+        ("frobenius_p3", "max", 7): "Poly(1*(EV(0:1,3:1)@5, 0) + 1*(EV(0:1,2:1,4:1)@5, 0))",
+        ("frobenius_p3", "max", 12345): "Poly(2*(EV(2:1,4:1)@5, 0) + 1*(EV(0:1,1:1)@5, 1))",
+        ("char2_xy", "I", 0): "Poly(1*(EV(0:1,2:1)@6, 1) + 1*(EV(0:1,1:3)@6, 1))",
+        ("char2_xy", "I", 7): "Poly(1*(EV(0:1,4:1,5:2)@6, 0) + 1*(EV(0:3,1:1,5:2)@6, 2))",
+        ("char2_xy", "I", 12345): "Poly(1*(EV(0:1,3:1)@6, 1) + 1*(EV(0:2)@6, 1))",
+        ("dyadic", "max", 0): "Poly(5*(EV(0:385/64)@1, 1) + 3*(EV(0:1667/128)@1, 1))",
+        ("dyadic", "max", 7): "Poly(1*(EV(0:13/4)@1, 0) + 1*(EV(0:3593/256)@1, 0))",
+        ("dyadic", "max", 12345): "Poly(-1*(EV(0:193/32)@1, 0) + 1*(EV(0:385/64)@1, 1))",
+        ("int_plus_2x", "full", 0): "Poly(12*(7, 0))",
+        ("int_plus_2x", "full", 7): "Poly(-8*(4, 0) + -6*(8, 0) + 8*(9, 0))",
+        ("int_plus_2x", "full", 12345): "Poly(6*(0, 0) + -4*(5, 0) + 2*(4, 1))",
+    }
+
+    @pytest.mark.parametrize("model,ideal,seed", sorted(PINNED))
+    def test_repr_is_pinned(self, model, ideal, seed):
+        m = CATALOG[model]
+        f = random_element(m.ring, m.ideal(ideal), 2, seed)
+        assert repr(f) == self.PINNED[model, ideal, seed]

@@ -140,6 +140,9 @@ class TestModelRecords:
         rec["params"] = {"wrong_name": 3}
         with pytest.raises(SchemaError):
             record_to_model(rec)
+        rec["params"] = {"nmax": 8, "ctx": 3}  # build_model's own argument
+        with pytest.raises(SchemaError):
+            record_to_model(rec)
 
     def test_tampered_generator_list_rejected(self):
         rec = json.loads(dumps_doc(model_to_record(catalog_models()["dyadic"])))

@@ -249,6 +249,21 @@ class TestBudgetPolicy:
                 r.claim.expected, Verdict.INCONCLUSIVE_AT_TRUNCATION.value)
         assert exit_code(results) == 2
 
+    def test_divergence_charges_model_builds_to_its_report(self, monkeypatch):
+        # every level's model is built on the claim's context, so the
+        # searches that build its ideals are charged to the report
+        tally = [0]
+        charge = SearchContext.charge_nodes
+
+        def counting(self, n):
+            tally[0] += n
+            return charge(self, n)
+
+        monkeypatch.setattr(SearchContext, "charge_nodes", counting)
+        rep = rerun("dy-divergence")
+        assert rep.verdict is Verdict.REFUTED_FAMILY
+        assert rep.budgets_used["search_nodes"] == tally[0] > 0
+
     def test_reports_carry_budget_usage(self):
         used = rerun("fr2-sft-gens").budgets_used
         assert set(used) == {"search_nodes", "multisets", "samples"}
