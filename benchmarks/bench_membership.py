@@ -1,11 +1,8 @@
-"""Membership-engine benchmark: pure Python against the compiled core.
+"""Membership-search benchmark: wall time and node throughput of the kernel.
 
-Runs the same search instances through both engines and reports wall time
-and node throughput. Instances mix the shipped model monoids (realistic
-sparse systems with mixed-sign generators) with synthetic stress cases.
-Outputs from the two engines are compared on every call; a mismatch aborts
-the run, so this doubles as a parity smoke test at sizes the unit tests
-do not reach.
+Runs search instances straight through _search_py.run_search, below the
+dispatch layer. Instances mix the shipped model monoids (realistic sparse
+systems with mixed-sign generators) with synthetic stress cases.
 
 Usage: python3 benchmarks/bench_membership.py [--repeat N] [--random N]
 """
@@ -17,13 +14,7 @@ import random
 import time
 
 from sftkit import _search_py
-from sftkit.exponents import ENGINE_NAME
 from sftkit.models import catalog_models
-
-try:
-    from sftkit import _search_cy
-except ImportError:
-    _search_cy = None
 
 BIG = 1 << 60
 
@@ -95,40 +86,24 @@ def synthetic_instances(rng: random.Random, n: int):
     return out
 
 
-def run_one(engine, inst):
+def run_one(inst):
     gens, weights, tables, tint, wtarget = inst
-    return engine.run_search(gens, weights, tables[0], tables[1], tables[2],
-                             tint, wtarget, BIG, {})
+    return _search_py.run_search(gens, weights, tables[0], tables[1],
+                                 tables[2], tint, wtarget, BIG, {})
 
 
 def bench(instances, repeat: int):
-    rows = []
-    for name, engine in (("pure", _search_py), ("compiled", _search_cy)):
-        if engine is None:
-            rows.append((name, None, None))
-            continue
-        best = None
+    """(best wall time over repeat runs, total nodes of one run)."""
+    best = None
+    nodes = 0
+    for _ in range(repeat):
+        t0 = time.perf_counter()
         nodes = 0
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            nodes = 0
-            for _, inst in instances:
-                status, counts, n = run_one(engine, inst)
-                nodes += n
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        rows.append((name, best, nodes))
-    return rows
-
-
-def check_parity(instances):
-    if _search_cy is None:
-        return
-    for label, inst in instances:
-        a = run_one(_search_py, inst)
-        b = run_one(_search_cy, inst)
-        if a != b:
-            raise SystemExit(f"engine mismatch on {label}: {a} != {b}")
+        for _, inst in instances:
+            nodes += run_one(inst)[2]
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, nodes
 
 
 def main():
@@ -143,22 +118,12 @@ def main():
     groups = [("model monoids", model_instances()),
               ("synthetic", synthetic_instances(random.Random(args.seed),
                                                 args.random))]
-    print(f"active engine selection: {ENGINE_NAME}")
-    if _search_cy is None:
-        print("compiled engine not built; timing the pure engine only")
     for gname, instances in groups:
-        check_parity(instances)
-        rows = bench(instances, args.repeat)
-        print(f"\n{gname}: {len(instances)} searches, best of {args.repeat}")
-        base = rows[0][1]
-        for name, dt, nodes in rows:
-            if dt is None:
-                print(f"  {name:9s} -")
-                continue
-            rate = nodes / dt if dt else float("inf")
-            note = f"  ({base / dt:.1f}x)" if name == "compiled" else ""
-            print(f"  {name:9s} {dt * 1000:8.1f} ms"
-                  f"  {nodes:9d} nodes  {rate / 1e6:6.2f} Mnodes/s{note}")
+        dt, nodes = bench(instances, args.repeat)
+        rate = nodes / dt if dt else float("inf")
+        print(f"{gname}: {len(instances)} searches, best of {args.repeat}:"
+              f" {dt * 1000:8.1f} ms  {nodes:9d} nodes"
+              f"  {rate / 1e6:6.2f} Mnodes/s")
 
 
 if __name__ == "__main__":

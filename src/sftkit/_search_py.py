@@ -1,4 +1,4 @@
-"""Pure-Python membership search kernel.
+"""Membership search kernel.
 
 Decides whether an integer target vector is a nonnegative integer combination
 of generator vectors, all carrying positive integer weights. Depth-first over
@@ -9,8 +9,8 @@ lexicographically smallest multiplicity vector in that order.
 The memo maps (residual tuple, generator index) to the first viable
 multiplicity, or -1 when the residual is not expressible from that suffix.
 Node accounting: one node is charged on every call entry, memo hits and
-pruned entries included. The compiled kernel replicates this exactly; the
-two must agree on (status, witness, node count) bit for bit.
+pruned entries included. Reports carry these counts, so they are part of
+the search's contract, not an implementation detail.
 """
 
 from __future__ import annotations

@@ -198,19 +198,10 @@ def _resolve_example(name: str, overrides: dict):
         model = models[name]
         if not overrides:
             return model
-        try:
-            return build_model(model.family,
-                               **{**model.param_map, **overrides})
-        except TypeError as exc:
-            raise UnknownExample(f"{name} with {sorted(overrides)}",
-                                 sorted(FAMILIES)) from exc
+        return build_model(model.family, **{**model.param_map, **overrides})
     family = _EXAMPLE_ALIASES.get(name, name)
     if family in FAMILIES:
-        try:
-            return build_model(family, **overrides)
-        except TypeError as exc:
-            raise UnknownExample(f"{name} with {sorted(overrides)}",
-                                 sorted(FAMILIES)) from exc
+        return build_model(family, **overrides)
     raise UnknownExample(
         name, sorted(set(models) | set(FAMILIES) | set(_EXAMPLE_ALIASES)))
 

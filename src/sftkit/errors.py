@@ -69,9 +69,9 @@ class NoCertificateApplicable(SftkitError):
 
 
 class UnknownExample(SftkitError):
-    def __init__(self, name: str, available: list[str]):
+    def __init__(self, name: str, available: list[str], what: str = "example"):
         self.available = available
-        super().__init__(f"unknown example {name!r}; available: {', '.join(available)}")
+        super().__init__(f"unknown {what} {name!r}; available: {', '.join(available)}")
 
 
 class SchemaError(SftkitError):

@@ -3,17 +3,13 @@ gradings.
 
 The membership decision (is a target vector a nonnegative integer combination
 of the generators?) is the hot path of the whole toolkit. It is run on scaled
-integer vectors by one of two interchangeable kernels: a compiled one when the
-extension module built and the operands fit its integer guards, the pure
-Python one otherwise. Both implement the identical bounded depth-first search
-and report identical node counts, so budgets and reports do not depend on
-which kernel ran.
+integer vectors: rank-1 targets through a bitset table, everything else
+through the bounded depth-first search in _search_py.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -24,24 +20,12 @@ from . import _search_py
 from .budget import SearchContext
 from .errors import PreconditionViolated, SearchBudgetExceeded
 
-try:  # compiled kernel is optional; anything at all wrong means fall back
-    if os.environ.get("SFTKIT_FORCE_PURE"):
-        _search_cy = None
-    else:
-        from . import _search_cy  # type: ignore[attr-defined]
-except Exception:  # pragma: no cover - depends on build environment
-    _search_cy = None
-
-ENGINE_NAME = _search_cy.ENGINE_NAME if _search_cy is not None else _search_py.ENGINE_NAME
+ENGINE_NAME = _search_py.ENGINE_NAME
 
 MAX_DIM = 64  # suffix pruning uses 64-bit coordinate masks
 
-# compiled-kernel operand guards (see _search_cy.pyx)
-_ENTRY_LIMIT = 1 << 20
-_WEIGHT_LIMIT = 1 << 30
-
 # rank-1 targets up to this value use the bitset table; beyond it the
-# generic search engines take over (the table would need that many bits)
+# depth-first search takes over (the table would need that many bits)
 _RANK1_BOUND = 1 << 22
 
 
@@ -372,7 +356,7 @@ class MonoidPresentation:
 
     @cached_property
     def _pack(self):
-        """Engine-ready integer data: the lattice frame (generators scaled by
+        """Search-ready integer data: the lattice frame (generators scaled by
         the denominator bound s0, in original order), and the same generators
         sorted by decreasing integer weight (ties by original index)."""
         s0 = self.denominator_bound
@@ -390,9 +374,6 @@ class MonoidPresentation:
         gens_int = tuple(raw[j] for j in order)
         weights_int = tuple(iw[j] for j in order)
         minw, posm, negm = _search_py.suffix_tables(gens_int, weights_int, self.dim)
-        cy_ok = (_search_cy is not None
-                 and all(abs(e) < _ENTRY_LIMIT for v in gens_int for e in v)
-                 and all(w < _WEIGHT_LIMIT for w in weights_int))
         return {
             "s0": s0,
             "lam": lam,
@@ -401,7 +382,6 @@ class MonoidPresentation:
             "gens_int": gens_int,
             "weights_int": weights_int,
             "tables": (minw, posm, negm),
-            "cy_ok": cy_ok,
         }
 
     @cached_property
@@ -545,12 +525,8 @@ class MonoidPresentation:
             if counts is None:
                 return None
         else:
-            engine = _search_py
-            if pack["cy_ok"] and all(abs(t) < _WEIGHT_LIMIT for t in query) \
-                    and 0 <= wtarget < _WEIGHT_LIMIT:
-                engine = _search_cy
             minw, posm, negm = pack["tables"]
-            status, counts, nodes = engine.run_search(
+            status, counts, nodes = _search_py.run_search(
                 gens_int, pack["weights_int"], minw, posm, negm,
                 query, wtarget, ctx.nodes_left(),
                 self._ctx_tables(ctx).setdefault("memo", {}))
@@ -596,8 +572,8 @@ class MonoidPresentation:
         (bit v set when v is a sum from that suffix), built once per context
         and grown geometrically, so a whole batch of queries against the
         same monoid costs one table build. The witness read-off picks the
-        smallest count for each generator in turn, matching the search
-        engines' lexicographic-first contract.
+        smallest count for each generator in turn, matching the depth-first
+        search's lexicographic-first contract.
         """
         gvals = tuple(v[0] for v in gens_int)
         n = len(gvals)

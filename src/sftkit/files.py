@@ -202,8 +202,6 @@ def record_to_model(rec: dict, where: str = "model") -> RingModel:
         raise SchemaError(f"{where}.params", "parameters must be an object of integers")
     try:
         model = build_model(family, **params)
-    except TypeError as exc:
-        raise SchemaError(f"{where}.params", str(exc)) from None
     except SftkitError as exc:
         raise SchemaError(f"{where}.params", str(exc)) from None
     diff = _first_diff(model_to_record(model), rec, where)
@@ -243,9 +241,17 @@ def record_to_claim(rec: dict, where: str = "claim") -> CatalogClaim:
     if rec["expected"] not in _VERDICT_VALUES:
         raise SchemaError(f"{where}.expected",
                           f"unknown verdict {rec['expected']!r}")
+    if not rec["model"] and rec["kind"] != "divergence":
+        raise SchemaError(f"{where}.model",
+                          f"a {rec['kind']} claim must name a model")
     params = rec["params"]
-    if not isinstance(params, dict) or not all(isinstance(k, str) for k in params):
-        raise SchemaError(f"{where}.params", "params must be an object")
+    required, optional = CLAIM_KINDS[rec["kind"]]
+    _require_keys(params, set(required), set(optional), f"{where}.params")
+    for name, value in params.items():
+        what, ok = required.get(name) or optional[name]
+        if not ok(value):
+            raise SchemaError(f"{where}.params.{name}",
+                              f"must be {what}, got {value!r}")
     expect = rec.get("expect_details", {})
     if not isinstance(expect, dict) or not all(isinstance(k, str) for k in expect):
         raise SchemaError(f"{where}.expect_details", "must be an object")

@@ -7,13 +7,14 @@ of models doubles as a round-trip check for the file format.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .arith import PrimeChar
+from .arith import PrimeChar, is_prime
 from .budget import SearchContext
 from .elements import (CharPMonoidRing, DyadicRing, Int2xRing,
                        int_ideal_full, int_ideal_two)
@@ -74,7 +75,9 @@ def frobenius_quotient(p: int = 2, v: int = 5,
     The maximal ideal is nilpotent but its index grows with v."""
     if v < 1:
         raise PreconditionViolated("v >= 1", f"got {v}")
-    char = PrimeChar(p)  # rejects composites
+    if not is_prime(p):
+        raise PreconditionViolated("p prime", f"got {p}")
+    char = PrimeChar(p)
     units = tuple(ExponentVector.unit(v, i, 1) for i in range(v))
     S = MonoidPresentation(
         dim=v, gens=units, weights=(Fraction(1),) * v,
@@ -232,13 +235,19 @@ FAMILIES = {
 def build_model(family: str, ctx: Optional[SearchContext] = None,
                 **params) -> RingModel:
     """The family's model at these parameters. The membership searches that
-    building its ideals runs are charged to ctx (a fresh context if None)."""
+    building its ideals runs are charged to ctx (a fresh context if None).
+    A parameter the family does not take is an UnknownExample."""
     try:
         ctor = FAMILIES[family]
     except KeyError:
         raise UnknownExample(family, sorted(FAMILIES)) from None
+    known = [name for name in inspect.signature(ctor).parameters
+             if name != "ctx"]
     if ctx is not None and not isinstance(ctx, SearchContext):
-        raise TypeError(f"{family}() got an unexpected keyword argument 'ctx'")
+        params = {"ctx": ctx, **params}  # a model parameter named ctx
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise UnknownExample(unknown[0], known, what=f"{family} parameter")
     return ctor(**params, ctx=ctx)
 
 

@@ -32,13 +32,59 @@ from .sftcheck import (SftData, Verdict, VerificationReport, anyradical_index,
                        valuation_non_sft_scan, verify_sft_generators,
                        verify_vsft)
 
-CLAIM_KINDS = (
-    "sft_generators", "sft_all_elements", "vsft", "vsft_witness_search",
-    "minimal_index", "power_data", "modified_radical", "radical_equal",
-    "anyradical", "strong_convergence", "extension_vsft",
-    "extension_sft_exponent", "quotient_pushforward", "divergence",
-    "valuation_scan",
-)
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_fraction(x) -> bool:
+    try:
+        Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return isinstance(x, str)
+
+
+# parameter value types as (what the value must be, test)
+_INT = ("an integer", _is_int)
+_NAME = ("a string", lambda x: isinstance(x, str))
+_MODE = ('"sft" or "vsft"', lambda x: x in ("sft", "vsft"))
+_INTS = ("a list of integers",
+         lambda x: isinstance(x, list) and all(map(_is_int, x)))
+_NAMES = ("a list of strings", lambda x: isinstance(x, list)
+          and all(isinstance(v, str) for v in x))
+_FRACTIONS = ('a list of fraction strings like "3/2"',
+              lambda x: isinstance(x, list) and all(map(_is_fraction, x)))
+_INT_MAP = ("an object of integers",
+            lambda x: isinstance(x, dict) and all(map(_is_int, x.values())))
+_IDEAL_DEF = ("a pair [operation, integer]",
+              lambda x: isinstance(x, list) and len(x) == 2
+              and isinstance(x[0], str) and _is_int(x[1]))
+_I_B = {"I": _NAME, "B": _NAME}
+
+# kind -> (required parameters, optional parameters), as _dispatch reads them
+CLAIM_KINDS = {
+    "sft_generators": ({**_I_B, "n": _INT}, {}),
+    "sft_all_elements": ({**_I_B, "n": _INT}, {"samples": _INT}),
+    "vsft": ({**_I_B, "n": _INT}, {}),
+    "vsft_witness_search": ({**_I_B, "kmax": _INT}, {"kmin": _INT}),
+    "minimal_index": ({**_I_B, "cap": _INT}, {}),
+    "power_data": ({**_I_B, "n": _INT, "m": _INT}, {"mode": _MODE}),
+    "modified_radical": ({"J": _NAME, "I_def": _IDEAL_DEF, "B": _NAME,
+                          "n": _INT, "kmax": _INT}, {}),
+    "radical_equal": ({**_I_B, "kmax": _INT}, {}),
+    "anyradical": ({**_I_B, "mmax": _INT}, {}),
+    "strong_convergence": ({**_I_B, "n": _INT}, {"elements": _FRACTIONS}),
+    "extension_vsft": ({**_I_B, "n": _INT, "degree": _INT},
+                       {"samples": _INT}),
+    "extension_sft_exponent": ({**_I_B, "n": _INT, "degree": _INT,
+                                "samples": _INT}, {}),
+    "quotient_pushforward": ({**_I_B, "n": _INT, "kernel": _NAMES},
+                             {"mode": _MODE}),
+    "divergence": ({"family": _NAME, "level_key": _NAME, "levels": _INTS,
+                    "fixed": _INT_MAP, **_I_B, "cap": _INT}, {}),
+    "valuation_scan": ({"numerators": _INTS, "nmax": _INT}, {}),
+}
 
 
 def claim_seed(base: int, claim_id: str) -> int:

@@ -343,7 +343,7 @@ class TestFiniteEnumeration:
 # Elements of the oracle are dicts {(dense Fraction exponent, tdeg): coeff}
 # kept in term order. Membership in the monoids below is read off the
 # coordinates (every generator is a unit vector times 1/d), so the kill
-# predicates are decided without the search engines.
+# predicates are decided without the membership search.
 
 HALF_PLANE_T2 = MonoidPresentation(2, (ev(Fraction(1, 2), 0), ev(0, 1)), (1, 2),
                                    kill=("entry_ge", 2))

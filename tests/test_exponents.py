@@ -15,7 +15,7 @@ EV = ExponentVector.from_dense
 
 
 def brute_member(gens, weights, target, _memo=None):
-    """Reachability by blind recursion; shares nothing with the engines."""
+    """Reachability by blind recursion; shares nothing with the search."""
     S = MonoidPresentation(dim=target.dim, gens=tuple(gens), weights=weights)
     memo = {} if _memo is None else _memo
 
@@ -40,7 +40,7 @@ def brute_member(gens, weights, target, _memo=None):
 
 def lex_first_witness(S, target):
     """First multiplicity vector in lex order, generators by decreasing
-    weight (ties by index), or None. Independent of the search engines."""
+    weight (ties by index), or None. Independent of the search kernel."""
     order = sorted(range(len(S.gens)), key=lambda j: (-S.weight(S.gens[j]), j))
     gens = [S.gens[j] for j in order]
 
@@ -296,7 +296,7 @@ class TestRankOne:
         for num in range(0, 65):
             t = EV([Fraction(num, 4)])
             table[num] = S.member(t) is not None
-        # same queries through the generic engines
+        # same queries through the depth-first search
         monkeypatch.setattr(expo, "_RANK1_BOUND", -1)
         S2 = presentation(*([v] for v in vals))
         for num, want in table.items():

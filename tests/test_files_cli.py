@@ -177,6 +177,18 @@ class TestClaimRecords:
         with pytest.raises(SchemaError):
             record_to_claim(rec)
 
+    def test_params_checked_against_kind(self):
+        rec = claim_to_record(claim_by_id("fr2-witness-k5"))
+        rec["params"]["kmaxx"] = 5
+        with pytest.raises(SchemaError) as ei:
+            record_to_claim(rec)
+        assert "unknown fields: kmaxx" in str(ei.value)
+        rec = claim_to_record(claim_by_id("fr2-witness-k5"))
+        rec["params"]["kmin"] = True
+        with pytest.raises(SchemaError) as ei:
+            record_to_claim(rec)
+        assert "params.kmin: must be an integer" in str(ei.value)
+
     def test_claims_doc_round_trip_with_models(self):
         models = {"frobenius_p2_v2": catalog_models()["frobenius_p2_v2"]}
         claims = [claim_by_id("fr2v2-sft-idx3-exhaustive")]
@@ -268,6 +280,33 @@ class TestVerifyCommand:
         r = CliRunner().invoke(main, ["verify", str(p)])
         assert r.exit_code == 3
 
+    # catalog claim, edit of its record, text the error must show
+    MALFORMED = {
+        "missing-n": ("frac-vsft", lambda r: r["params"].pop("n"),
+                      "params: missing fields: n"),
+        "n-as-string": ("frac-vsft", lambda r: r["params"].update(n="2"),
+                        "params.n: must be an integer"),
+        "vsft-without-model": ("frac-vsft", lambda r: r.update(model=""),
+                               "model: a vsft claim must name a model"),
+        "unknown-fixed-param": (
+            "fr2-divergence", lambda r: r["params"]["fixed"].update(bogus=1),
+            "unknown frobenius_quotient parameter 'bogus'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_claim_params_exit_3(self, tmp_path, case):
+        cid, edit, message = self.MALFORMED[case]
+        rec = json.loads(json.dumps(jsonify(claim_to_record(claim_by_id(cid)))))
+        edit(rec)
+        p = tmp_path / "claims.json"
+        p.write_text(json.dumps({"schema": "sftkit/claims/1",
+                                 "claims": [rec]}))
+        r = CliRunner().invoke(main, ["verify", str(p)])
+        assert r.exit_code == 3, r.output
+        assert isinstance(r.exception, SystemExit)  # not a crash
+        assert message in r.output
+        assert "Traceback" not in r.output
+
     def test_verify_unknown_model_reference_exits_3(self, tmp_path):
         import dataclasses
         missing = dataclasses.replace(claim_by_id("fr2-sft-gens"),
@@ -340,6 +379,10 @@ class TestExampleCommand:
     def test_bad_override_for_family_exits_3(self):
         r = CliRunner().invoke(main, ["example", "dyadic", "--p", "3"])
         assert r.exit_code == 3
+        assert "unknown dyadic parameter 'p'" in r.output
+        r = CliRunner().invoke(main, ["example", "frobenius", "--p", "4"])
+        assert r.exit_code == 3, r.output
+        assert isinstance(r.exception, SystemExit)  # not a crash
 
     def test_starved_example_exits_2(self):
         r = CliRunner().invoke(main, ["example", "fraction",

@@ -95,6 +95,9 @@ class TestConstructors:
     def test_unknown_lookups(self):
         with pytest.raises(UnknownExample):
             build_model("no_such_family")
+        with pytest.raises(UnknownExample) as ei:
+            build_model("dyadic", p=3)
+        assert "unknown dyadic parameter 'p'; available: nmax" in str(ei.value)
         with pytest.raises(UnknownExample):
             frobenius_quotient(2, 2).ideal("no_such_ideal")
 
