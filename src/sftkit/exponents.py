@@ -22,7 +22,10 @@ from .errors import PreconditionViolated, SearchBudgetExceeded
 
 ENGINE_NAME = _search_py.ENGINE_NAME
 
-MAX_DIM = 64  # suffix pruning uses 64-bit coordinate masks
+# cap on the ambient dimension, checked by the model constructors before
+# they build anything (the search's coordinate masks are Python ints, so the
+# cap is a sanity bound on model size, not a word width)
+MAX_DIM = 64
 
 # rank-1 targets up to this value use the bitset table; beyond it the
 # depth-first search takes over (the table would need that many bits)
@@ -295,66 +298,6 @@ class MonoidPresentation:
         return tuple(canon), perm
 
     @cached_property
-    def _drop_tables(self):
-        """Aggregate feasibility data for a one-shot infeasibility test, in
-        the lattice frame.
-
-        Any expression of a target must, for each coordinate k driven
-        negative, use at least ceil(-t_k / maxdrop_k) generators with a
-        negative k entry, and each of those contributes at least minpos[k0][k]
-        to every coordinate k0 on which no generator is negative. When no
-        generator lowers two coordinates at once those contributions add up,
-        and the total cannot exceed t_k0. This decides integral infeasibility
-        the rational relaxation misses.
-        """
-        gens = self._pack["scaled"]
-        maxdrop = [0] * self.dim
-        droppers: list[list[int]] = [[] for _ in range(self.dim)]
-        separated = True
-        for j, g in enumerate(gens):
-            negs = [k for k in range(self.dim) if g[k] < 0]
-            if len(negs) > 1:
-                separated = False
-            for k in negs:
-                droppers[k].append(j)
-                if -g[k] > maxdrop[k]:
-                    maxdrop[k] = -g[k]
-        nonneg = tuple(
-            k0 for k0 in range(self.dim)
-            if all(g[k0] >= 0 for g in gens))
-        minpos = {}
-        for k0 in nonneg:
-            row = [0] * self.dim
-            for k in range(self.dim):
-                if droppers[k]:
-                    row[k] = min(gens[j][k0] for j in droppers[k])
-            if any(row):
-                minpos[k0] = tuple(row)
-        return {"maxdrop": tuple(maxdrop), "separated": separated,
-                "minpos": minpos}
-
-    def _infeasible_at_root(self, v: tuple) -> bool:
-        dt = self._drop_tables
-        maxdrop = dt["maxdrop"]
-        for k in range(self.dim):
-            if v[k] < 0 and maxdrop[k] == 0:
-                return True
-        for k0, row in dt["minpos"].items():
-            cap = v[k0]
-            total = 0
-            for k in range(self.dim):
-                x = v[k]
-                if x < 0 and row[k] > 0:
-                    cost = -(x // maxdrop[k]) * row[k]
-                    if dt["separated"]:
-                        total += cost
-                        if total > cap:
-                            return True
-                    elif cost > cap:
-                        return True
-        return False
-
-    @cached_property
     def _pack(self):
         """Search-ready integer data: the lattice frame (generators scaled by
         the denominator bound s0, in original order), and the same generators
@@ -373,7 +316,6 @@ class MonoidPresentation:
         order = sorted(range(len(self.gens)), key=lambda j: (-iw[j], j))
         gens_int = tuple(raw[j] for j in order)
         weights_int = tuple(iw[j] for j in order)
-        minw, posm, negm = _search_py.suffix_tables(gens_int, weights_int, self.dim)
         return {
             "s0": s0,
             "lam": lam,
@@ -381,7 +323,7 @@ class MonoidPresentation:
             "order": tuple(order),
             "gens_int": gens_int,
             "weights_int": weights_int,
-            "tables": (minw, posm, negm),
+            "tables": _search_py.suffix_tables(gens_int, weights_int, self.dim),
         }
 
     @cached_property
@@ -464,8 +406,8 @@ class MonoidPresentation:
             if ctx is None:
                 ctx = SearchContext()
             for g in spec[1]:
-                if self.lattice_member(tuple(a - b for a, b in zip(v, g)),
-                                       ctx) is not None:
+                if self.lattice_contains(tuple(a - b for a, b in zip(v, g)),
+                                         ctx):
                     return True
             return False
         return self._killed(spec[1], v, ctx) or self._killed(spec[2], v, ctx)
@@ -505,36 +447,14 @@ class MonoidPresentation:
     def lattice_member(self, v: tuple,
                        ctx: SearchContext) -> Optional[tuple[tuple[int, int], ...]]:
         """member() for a lattice point: the witness's (generator index,
-        multiplicity) pairs, or None."""
-        if not any(v):
-            return ()
-        if not self.gens:
+        multiplicity) pairs, or None. The witness is the lexicographic one
+        member() describes; callers that only need yes or no take
+        lattice_contains, which is cheaper and agrees on every answer."""
+        found = self._lattice_search(v, ctx, decide=False)
+        if found is None:
             return None
+        counts, _, perm = found
         pack = self._pack
-        wtarget = self.lattice_weight(v)
-        if wtarget < 0:
-            return None
-        if self._infeasible_at_root(v):
-            ctx.charge_nodes(1)
-            return None
-
-        query, perm = self._canonical_target(v)
-        gens_int = pack["gens_int"]
-        if self.dim == 1 and 0 <= query[0] <= _RANK1_BOUND:
-            counts = self._member_rank1(query[0], gens_int, ctx)
-            if counts is None:
-                return None
-        else:
-            minw, posm, negm = pack["tables"]
-            status, counts, nodes = _search_py.run_search(
-                gens_int, pack["weights_int"], minw, posm, negm,
-                query, wtarget, ctx.nodes_left(),
-                self._ctx_tables(ctx).setdefault("memo", {}))
-            ctx.charge_nodes(nodes)
-            if status == _search_py.BUDGET:
-                raise SearchBudgetExceeded(ctx.nodes_used)
-            if status == _search_py.NOT_MEMBER:
-                return None
         order = pack["order"]
         scaled = pack["scaled"]
         pairs = sorted((order[j], c) for j, c in enumerate(counts) if c)
@@ -547,39 +467,89 @@ class MonoidPresentation:
                 jj = self._gen_lookup[tuple(g[perm[k]] for k in range(self.dim))]
                 remapped[jj] = remapped.get(jj, 0) + c
             pairs = sorted(remapped.items())
-        acc = [0] * self.dim
-        for j, c in pairs:
-            for k, x in enumerate(scaled[j]):
-                acc[k] += c * x
-        if tuple(acc) != v:  # soundness guard; never expected to fire
+        if _resum(((scaled[j], c) for j, c in pairs), self.dim) != v:
+            # soundness guard; never expected to fire
             raise AssertionError("membership witness does not re-sum to the target")
         return tuple(pairs)
 
+    def lattice_contains(self, v: tuple, ctx: SearchContext) -> bool:
+        """Is the lattice point v in S? The decision route for callers that
+        need no witness (divisibility in the ideal layer, the kill
+        predicate, generator checks).
+
+        Same boundary as lattice_member. In rank 1 it is one bit test of the
+        reachability table, 1 node. Otherwise the search tries
+        multiplicities from the largest down and keeps its viable ones in a
+        memo of its own, so it never changes a later lattice_member witness;
+        its witness is still read off and re-summed against the
+        canonicalized target."""
+        found = self._lattice_search(v, ctx, decide=True)
+        if found is None:
+            return False
+        counts, query, _ = found
+        if (counts is not None and _resum(zip(self._pack["gens_int"], counts),
+                                          self.dim) != query):
+            # soundness guard; never expected to fire
+            raise AssertionError("membership witness does not re-sum to the target")
+        return True
+
+    def _lattice_search(self, v: tuple, ctx: SearchContext, decide: bool):
+        """The boundary lattice_member and lattice_contains share: None for a
+        non-member, else (counts over gens_int, the canonical target they
+        sum to, its coordinate map from _canonical_target). counts is None
+        for a rank-1 decision, which reads no witness off."""
+        if not any(v):
+            return [], v, None
+        if not self.gens:
+            return None
+        pack = self._pack
+        wtarget = self.lattice_weight(v)
+        if wtarget < 0:
+            return None
+        query, perm = self._canonical_target(v)
+        gens_int = pack["gens_int"]
+        if self.dim == 1 and 0 <= query[0] <= _RANK1_BOUND:
+            a = query[0]
+            suffix = self._rank1_table(a, ctx)
+            ctx.charge_nodes(1)
+            if not (suffix[0] >> a) & 1:
+                return None
+            counts = None if decide else _rank1_counts(a, gens_int, suffix)
+        else:
+            tables = self._ctx_tables(ctx)
+            status, counts, nodes = _search_py.run_search(
+                gens_int, pack["weights_int"], *pack["tables"],
+                query, wtarget, ctx.nodes_left(), tables.setdefault("memo", {}),
+                tables.setdefault("desc_memo", {}) if decide else None)
+            ctx.charge_nodes(nodes)
+            if status == _search_py.BUDGET:
+                raise SearchBudgetExceeded(ctx.nodes_used)
+            if status == _search_py.NOT_MEMBER:
+                return None
+        return counts, query, perm
+
     def _ctx_tables(self, ctx: SearchContext) -> dict:
         """This presentation's search tables in the context (rank-1 bitsets,
-        the search memo)."""
+        the lexicographic memo, the descending route's memo)."""
         slot = ctx.tables.get(id(self))
         if slot is None or slot[0] is not self:
             slot = (self, {})
             ctx.tables[id(self)] = slot
         return slot[1]
 
-    def _member_rank1(self, a: int, gens_int,
-                      ctx: SearchContext) -> Optional[list]:
+    def _rank1_table(self, a: int, ctx: SearchContext) -> list:
         """Numerical-semigroup membership by bitset dynamic programming.
 
         suffix[i] is the reachability bitset of the generator suffix i..end
         (bit v set when v is a sum from that suffix), built once per context
         and grown geometrically, so a whole batch of queries against the
-        same monoid costs one table build. The witness read-off picks the
-        smallest count for each generator in turn, matching the depth-first
-        search's lexicographic-first contract.
+        same monoid costs one table build. Returns a table covering a.
         """
-        gvals = tuple(v[0] for v in gens_int)
-        n = len(gvals)
         cache = self._ctx_tables(ctx)
         entry = cache.get("rank1")
         if entry is None or entry[0] < a:
+            gvals = tuple(g[0] for g in self._pack["gens_int"])
+            n = len(gvals)
             bound = max(a, 4096, 0 if entry is None else 2 * entry[0])
             mask = (1 << (bound + 1)) - 1
             suffix = [0] * (n + 1)
@@ -594,22 +564,34 @@ class MonoidPresentation:
             ctx.charge_nodes(n * max(1, bound.bit_length()))
             entry = (bound, suffix)
             cache["rank1"] = entry
-        suffix = entry[1]
-        ctx.charge_nodes(1)
-        if not (suffix[0] >> a) & 1:
-            return None
-        counts = [0] * n
-        rem = a
-        for i in range(n):
-            if rem == 0:
+        return entry[1]
+
+
+def _resum(terms, dim: int) -> tuple:
+    """The sum of count * generator over (generator, count) pairs."""
+    acc = [0] * dim
+    for g, c in terms:
+        if c:
+            for k, x in enumerate(g):
+                acc[k] += c * x
+    return tuple(acc)
+
+
+def _rank1_counts(a: int, gens_int, suffix: list) -> list:
+    """The witness of a rank-1 member a, read off the reachability table:
+    the smallest count for each generator in turn, matching the depth-first
+    search's lexicographic-first contract."""
+    counts = [0] * len(gens_int)
+    rem = a
+    for i, (g,) in enumerate(gens_int):
+        if rem == 0:
+            break
+        nxt = suffix[i + 1]
+        c = 0
+        while c * g <= rem:
+            if (nxt >> (rem - c * g)) & 1:
                 break
-            g = gvals[i]
-            nxt = suffix[i + 1]
-            c = 0
-            while c * g <= rem:
-                if (nxt >> (rem - c * g)) & 1:
-                    break
-                c += 1
-            counts[i] = c
-            rem -= c * g
-        return counts
+            c += 1
+        counts[i] = c
+        rem -= c * g
+    return counts

@@ -115,7 +115,7 @@ def _divides(S: MonoidPresentation, d: tuple, wd: int, ctx: SearchContext) -> bo
     """
     if not any(d):
         return True
-    minw, posm, negm = S._pack["tables"]
+    minw, posm, negm, _ = S._pack["tables"]
     if wd <= 0 or wd < minw[0]:
         return False
     # a coordinate can only move in a direction some generator moves it
@@ -125,7 +125,7 @@ def _divides(S: MonoidPresentation, d: tuple, wd: int, ctx: SearchContext) -> bo
                 return False
         elif x < 0 and not (negm[0] >> k) & 1:
             return False
-    return S.lattice_member(d, ctx) is not None
+    return S.lattice_contains(d, ctx)
 
 
 def minimalize(S: MonoidPresentation, points, ctx: SearchContext) -> list[tuple]:
@@ -177,7 +177,8 @@ def monomial_ideal(S: MonoidPresentation, gens, ctx: Optional[SearchContext] = N
                 continue
             if S.is_killed(g, ctx):
                 continue  # the zero element; dropped below
-            if S.member(g, ctx) is None:
+            v = S.to_lattice(g)
+            if v is None or not S.lattice_contains(v, ctx):
                 raise PreconditionViolated(
                     "ideal generators lie in the monoid", f"{g!r} is not in the monoid")
     kept = minimalize(S, [_lattice_gen(S, g) for g in gens], ctx)

@@ -19,7 +19,7 @@ from .budget import SearchContext
 from .elements import (CharPMonoidRing, DyadicRing, Int2xRing,
                        int_ideal_full, int_ideal_two)
 from .errors import PreconditionViolated, UnknownExample
-from .exponents import ExponentVector, MonoidPresentation
+from .exponents import MAX_DIM, ExponentVector, MonoidPresentation
 from .ideals import monomial_ideal
 
 
@@ -65,6 +65,15 @@ def _params(**kw) -> tuple:
     return tuple(sorted(kw.items()))
 
 
+def _check_v(v: int, least: int, dim: int) -> None:
+    """The variable count v against its floor, and the ambient dimension dim
+    it gives against MAX_DIM, before anything is built."""
+    if v < least:
+        raise PreconditionViolated(f"v >= {least}", f"got {v}")
+    if dim > MAX_DIM:
+        raise PreconditionViolated(f"v <= {MAX_DIM - (dim - v)}", f"got {v}")
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -73,8 +82,7 @@ def frobenius_quotient(p: int = 2, v: int = 5,
                        ctx: Optional[SearchContext] = None) -> RingModel:
     """F_p[x_1..x_v] with every monomial containing an x_i^p set to zero.
     The maximal ideal is nilpotent but its index grows with v."""
-    if v < 1:
-        raise PreconditionViolated("v >= 1", f"got {v}")
+    _check_v(v, least=1, dim=v)
     if not is_prime(p):
         raise PreconditionViolated("p prime", f"got {p}")
     char = PrimeChar(p)
@@ -99,8 +107,7 @@ def fraction_monoid(v: int = 5, M: int = 4,
     """Char-2 monoid algebra on y, x_1..x_v and the fractions y/x_i^m for
     m <= M. Grading weights the y coordinate M+1 so every fraction keeps a
     positive weight."""
-    if v < 2:
-        raise PreconditionViolated("v >= 2", f"got {v}")
+    _check_v(v, least=2, dim=1 + v)
     if M < 1:
         raise PreconditionViolated("M >= 1", f"got {M}")
     dim = 1 + v
@@ -152,8 +159,7 @@ def char2_xy(v: int = 5, D: int = 10,
     generators stand in for invertible coefficient-field elements, so the
     ring's maximal ideal is (X^2, XY_1, ..., XY_v). D only caps sampling
     degrees."""
-    if v < 2:
-        raise PreconditionViolated("v >= 2", f"got {v}")
+    _check_v(v, least=2, dim=1 + v)
     dim = 1 + v
     a = ExponentVector.from_map(dim, {0: Fraction(2)})          # X^2
     bs = tuple(ExponentVector.from_map(dim, {0: Fraction(1), i: Fraction(1)})

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .budget import Budgets, SearchContext, budgets_from_env
 from .elements import make_element, monomial_element
-from .errors import SftkitError, UnknownExample, UnsupportedModel
+from .errors import SchemaError, SftkitError, UnknownExample, UnsupportedModel
 from .exponents import ExponentVector, scalar_multiple
 from .ideals import monomial_ideal
 from .models import CatalogClaim, RingModel, catalog_models
@@ -108,6 +108,10 @@ class ClaimResult:
 def _strong_conv_elements(model, spec, ctx):
     if spec is not None:
         # exponent strings for a rank-1 monoid model
+        if model.is_integer_model or model.monoid.dim != 1:
+            raise SchemaError(
+                "params.elements",
+                f"exponent strings need a rank-1 monoid model, not {model.name}")
         return [monomial_element(model.ring,
                                  ExponentVector.from_dense((Fraction(s),)),
                                  1, 0, ctx)
@@ -219,8 +223,8 @@ def _dispatch(claim: CatalogClaim, model: Optional[RingModel],
                                 model.ideal(p["B"]), mmax=p["mmax"], ctx=ctx,
                                 claim=claim.id)
     if kind == "strong_convergence":
-        d = data(p["n"])
         els = _strong_conv_elements(model, p.get("elements"), ctx)
+        d = data(p["n"])
         return strong_convergence_check(model, d, els, ctx=ctx,
                                         claim=claim.id)
     if kind == "extension_vsft":

@@ -1,9 +1,11 @@
 """Tests for the membership search kernel.
 
-Everything here calls run_search directly, below the dispatch layer, so
-canonicalization and the fast paths cannot mask a kernel fault. Random
-instances are checked against a brute-force oracle that shares no code
-with the kernel.
+Nearly everything here calls run_search directly, below the dispatch layer,
+so canonicalization and the fast paths cannot mask a kernel fault; only the
+decision route's memo isolation and its agreement with member() are checked
+through MonoidPresentation, where the two order modes share a context.
+Random instances are checked against brute-force oracles that share no code
+with the kernel, in both order modes.
 
 Node counts on the frozen instances pin the search order itself: any
 reordering of the DFS, the memo policy, or the charge points shows up as
@@ -19,6 +21,8 @@ import pytest
 
 from sftkit import _search_py as pure
 from sftkit import exponents
+from sftkit.budget import SearchContext
+from sftkit.exponents import ExponentVector, MonoidPresentation
 
 FOUND = pure.FOUND
 NOT_MEMBER = pure.NOT_MEMBER
@@ -44,8 +48,11 @@ FROZEN = [
      (2, -2, 0), 6, FOUND, [0, 2, 0, 0, 0], 5),
     (((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1)), (4, 3, 2, 1, 1),
      (4, 0, -5), 11, FOUND, [0, 0, 4, 0, 3], 13),
+    # decided at the root by the drop table: lowering coordinates 1 and 2 by
+    # 3 takes at least 3 + 2 droppers, each adding 1 to coordinate 0, which
+    # has only 3
     (((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1)), (4, 3, 2, 1, 1),
-     (3, -3, -3), 6, NOT_MEMBER, None, 7),
+     (3, -3, -3), 6, NOT_MEMBER, None, 1),
     (((5,), (3,)), (5, 3), (11,), 11, FOUND, [1, 2], 10),
     (((5,), (3,)), (5, 3), (4,), 4, NOT_MEMBER, None, 4),
     (((5,), (3,)), (5, 3), (29,), 29, FOUND, [1, 8], 22),
@@ -53,13 +60,15 @@ FROZEN = [
 ]
 
 
-def call(engine, gens, weights, target, wtarget, allowance=BIG, memo=None):
+def call(engine, gens, weights, target, wtarget, allowance=BIG, memo=None,
+         desc_memo=None):
+    """One search; passing desc_memo selects the descending order mode."""
     dim = len(target)
-    minw, posm, negm = pure.suffix_tables(gens, weights, dim)
+    tables = pure.suffix_tables(gens, weights, dim)
     if memo is None:
         memo = {}
     status, counts, nodes = engine.run_search(
-        gens, weights, minw, posm, negm, target, wtarget, allowance, memo)
+        gens, weights, *tables, target, wtarget, allowance, memo, desc_memo)
     if counts is not None:
         counts = list(counts)
     return (status, counts, nodes), memo
@@ -183,14 +192,124 @@ class TestAgainstOracle:
         assert got == (FOUND, [1, 2, 3], 50)
 
 
+def direct_drop_table(gens, dim):
+    """The drop table of one generator list, straight from its definition."""
+    maxdrop = [max([-g[k] for g in gens if g[k] < 0], default=0)
+               for k in range(dim)]
+    separated = all(sum(e < 0 for e in g) <= 1 for g in gens)
+    rows = []
+    for k0 in range(dim):
+        if any(g[k0] < 0 for g in gens):
+            continue
+        terms = []
+        for k in range(dim):
+            droppers = [g for g in gens if g[k] < 0]
+            if droppers and min(g[k0] for g in droppers) > 0:
+                terms.append((k, maxdrop[k], min(g[k0] for g in droppers)))
+        if terms:
+            rows.append((k0, tuple(terms)))
+    return (separated, tuple(rows)) if rows else None
+
+
+def decide(gens, weights, target, wtarget, allowance=BIG):
+    """One descending-mode search on fresh memos: (result, memo, desc_memo)."""
+    desc_memo = {}
+    got, memo = call(pure, gens, weights, target, wtarget, allowance,
+                     desc_memo=desc_memo)
+    return got, memo, desc_memo
+
+
+def fraction_like():
+    """y, x1, x2 and the fractions y/x_i, y/x_i^2, graded (3, 1, 1): most
+    members have many expressions, and the two order modes pick different
+    ones."""
+    dense = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
+             (1, -2, 0), (1, 0, -2)]
+    return MonoidPresentation(
+        dim=3, gens=tuple(ExponentVector.from_dense(g) for g in dense),
+        weights=(3, 1, 1))
+
+
+FRACTION_TARGETS = [(a, b, c) for a in range(4)
+                    for b in range(-4, 3) for c in range(-4, 3)]
+
+
+class TestDecisionRoute:
+    def test_random_instances_agree(self):
+        rng = random.Random(20260819)
+        for trial in range(400):
+            gens, weights, target, wtarget = random_instance(rng)
+            allowance = BIG if trial % 5 else rng.randint(1, 30)
+            got, memo, desc_memo = decide(gens, weights, target, wtarget,
+                                          allowance)
+            full, full_memo, full_desc = decide(gens, weights, target, wtarget)
+            where = (gens, weights, target, wtarget, allowance)
+            if brute_reachable(gens, weights, target, wtarget):
+                assert full[0] == FOUND, where
+                assert resum(gens, full[1]) == target, where
+            else:
+                assert full[:2] == (NOT_MEMBER, None), where
+            # viable multiplicities only ever go to the mode's own memo
+            assert all(v == -1 for v in full_memo.values()), where
+            assert all(v >= 0 for v in full_desc.values()), where
+            if full[2] > allowance:
+                assert got == (BUDGET, None, allowance), where
+                assert all(full_memo[k] == v for k, v in memo.items()), where
+                assert all(full_desc[k] == v
+                           for k, v in desc_memo.items()), where
+            else:
+                assert got == full, where
+                assert memo == full_memo and desc_memo == full_desc, where
+
+    def test_modes_pick_different_witnesses(self):
+        # keeps the isolation test below meaningful: on these targets the
+        # descending witness is not the lexicographic one
+        pack = fraction_like()._pack
+        differ = 0
+        for t in FRACTION_TARGETS:
+            w = 3 * t[0] + t[1] + t[2]
+            lex, _ = call(pure, pack["gens_int"], pack["weights_int"], t, w)
+            desc, _, _ = decide(pack["gens_int"], pack["weights_int"], t, w)
+            assert lex[0] == desc[0]
+            differ += lex[1] != desc[1]
+        assert differ > 20
+
+    def test_decisions_leave_member_witnesses_alone(self):
+        S = fraction_like()
+        ctx = SearchContext()
+        for t in FRACTION_TARGETS:
+            S.lattice_contains(t, ctx)
+        for t in FRACTION_TARGETS:
+            e = ExponentVector.from_dense(t)
+            assert S.member(e, ctx) == S.member(e, SearchContext()), t
+
+    def test_contains_agrees_with_member(self):
+        S = fraction_like()
+        ctx = SearchContext()
+        for t in FRACTION_TARGETS:
+            assert S.lattice_contains(t, ctx) == (
+                S.lattice_member(t, SearchContext()) is not None), t
+        R = MonoidPresentation(
+            dim=1, gens=tuple(ExponentVector.from_dense([g]) for g in (5, 7, 9)),
+            weights=(1,))
+        ctx = SearchContext()
+        assert not R.lattice_contains((1,), ctx)  # builds the bitset table
+        base = ctx.nodes_used
+        for a in range(2, 60):
+            assert R.lattice_contains((a,), ctx) == (
+                R.lattice_member((a,), SearchContext()) is not None), a
+        assert ctx.nodes_used == base + 58  # one bit test per query
+
+
 class TestSuffixTables:
     def test_tables_match_direct_recomputation(self):
         gens = ((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1))
         weights = (4, 3, 2, 1, 1)
-        minw, posm, negm = pure.suffix_tables(gens, weights, 3)
+        minw, posm, negm, drops = pure.suffix_tables(gens, weights, 3)
         n = len(gens)
-        assert len(minw) == len(posm) == len(negm) == n + 1
-        assert posm[n] == 0 and negm[n] == 0
+        assert len(minw) == len(posm) == len(negm) == len(drops) == n + 1
+        assert posm[n] == 0 and negm[n] == 0 and drops[n] is None
+        assert drops[0] == (True, ((0, ((1, 1, 1), (2, 2, 1))),))
         assert minw[n] > 10 ** 9  # sentinel beats any real weight
         for i in range(n):
             assert minw[i] == min(weights[i:])
@@ -203,13 +322,26 @@ class TestSuffixTables:
                         m |= 1 << k
             assert posm[i] == p
             assert negm[i] == m
+            assert drops[i] == direct_drop_table(gens[i:], 3)
+
+    def test_drop_tables_match_definition_and_never_reject_members(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            gens, weights, target, wtarget = random_instance(rng)
+            dim = len(target)
+            drops = pure.suffix_tables(gens, weights, dim)[3]
+            for i in range(len(gens)):
+                assert drops[i] == direct_drop_table(gens[i:], dim)
+                if drops[i] is not None and pure.drop_infeasible(drops[i], target):
+                    assert not brute_reachable(gens[i:], weights[i:],
+                                               target, wtarget)
 
     def test_suffix_masks_nest(self):
         rng = random.Random(7)
         for _ in range(50):
             gens, weights, _, _ = random_instance(rng)
             dim = len(gens[0])
-            minw, posm, negm = pure.suffix_tables(gens, weights, dim)
+            minw, posm, negm, _ = pure.suffix_tables(gens, weights, dim)
             for i in range(len(gens)):
                 assert posm[i] & posm[i + 1] == posm[i + 1]
                 assert negm[i] & negm[i + 1] == negm[i + 1]

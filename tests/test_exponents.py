@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sftkit.exponents as expo
+from sftkit._search_py import drop_infeasible
 from sftkit.budget import Budgets, SearchContext
 from sftkit.errors import PreconditionViolated, SearchBudgetExceeded
 from sftkit.exponents import ExponentVector, MonoidPresentation, scalar_multiple
@@ -251,6 +252,12 @@ class TestSymmetryLayer:
             assert w.resum(S) == EV(t)
 
 
+def root_infeasible(S, t):
+    """The drop-table prune at the search root: suffix 0 of the table."""
+    drop = S._pack["tables"][3][0]
+    return drop is not None and drop_infeasible(drop, S.to_lattice(t))
+
+
 class TestRootInfeasibility:
     def test_never_rejects_members(self):
         S = presentation([1, -1, 0], [1, 0, -1], [1, -2, 0], [1, 0, -2],
@@ -261,7 +268,7 @@ class TestRootInfeasibility:
             for a in range(-4, 2):
                 for b in range(-4, 2):
                     t = EV([c, a, b])
-                    if S._infeasible_at_root(S.to_lattice(t)):
+                    if root_infeasible(S, t):
                         assert not brute_member(S.gens, S.weights, t, memo)
 
     def test_integral_budget_caught_at_root(self):
@@ -271,7 +278,7 @@ class TestRootInfeasibility:
                          [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
                          weights=(Fraction(4), Fraction(1), Fraction(1),
                                   Fraction(1)))
-        assert S._infeasible_at_root(S.to_lattice(EV([2, -1, -1, -1])))
+        assert root_infeasible(S, EV([2, -1, -1, -1]))
         ctx = SearchContext()
         assert S.member(EV([2, -1, -1, -1]), ctx) is None
         assert ctx.nodes_used == 1  # decided without search
@@ -281,7 +288,8 @@ class TestRootInfeasibility:
         # bound only, and this target is genuinely a member
         S = presentation([1, -1, -1], [0, 1, 0], [0, 0, 1],
                          weights=(Fraction(3), Fraction(1), Fraction(1)))
-        assert not S._drop_tables["separated"]
+        separated, _ = S._pack["tables"][3][0]
+        assert not separated
         assert S.member(EV([2, -2, -1])) is not None
 
 

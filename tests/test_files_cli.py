@@ -143,6 +143,11 @@ class TestModelRecords:
         rec["params"] = {"nmax": 8, "ctx": 3}  # build_model's own argument
         with pytest.raises(SchemaError):
             record_to_model(rec)
+        rec = model_to_record(catalog_models()["frobenius_p2"])
+        rec["params"] = {"p": 2, "v": 65}  # past MAX_DIM
+        with pytest.raises(SchemaError) as ei:
+            record_to_model(rec)
+        assert "params" in ei.value.location and "v <= 64" in str(ei.value)
 
     def test_tampered_generator_list_rejected(self):
         rec = json.loads(dumps_doc(model_to_record(catalog_models()["dyadic"])))
@@ -291,6 +296,13 @@ class TestVerifyCommand:
         "unknown-fixed-param": (
             "fr2-divergence", lambda r: r["params"]["fixed"].update(bogus=1),
             "unknown frobenius_quotient parameter 'bogus'"),
+        "divergence-level-past-cap": (
+            "fr2-divergence", lambda r: r["params"].update(levels=[2, 65]),
+            "precondition violated: v <= 64 (got 65)"),
+        "elements-on-rank-2": (
+            "fr2-strongconv-vacuous",
+            lambda r: r["params"].update(elements=["1"]),
+            "params.elements: exponent strings need a rank-1 monoid model"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -328,11 +340,9 @@ class TestVerifyCommand:
         assert norm1 == norm2
 
     def test_machine_output_is_identical_across_processes(self, tmp_path):
-        # both ideal kinds (monomial and integer model) through every claim
-        # kind they carry; frac-divergence alone takes ~15 s and is left out
-        ids = [c.id for c in catalog_claims()
-               if c.id.startswith(("fr", "int-", "xy-", "dy-"))
-               and c.id != "frac-divergence"]
+        # the whole catalog: both ideal kinds (monomial and integer model)
+        # through every claim kind they carry
+        ids = [c.id for c in catalog_claims()]
         path = write_claims(tmp_path, [claim_by_id(i) for i in ids])
         outs = []
         for hashseed in ("1", "777"):
@@ -383,6 +393,15 @@ class TestExampleCommand:
         r = CliRunner().invoke(main, ["example", "frobenius", "--p", "4"])
         assert r.exit_code == 3, r.output
         assert isinstance(r.exception, SystemExit)  # not a crash
+
+    def test_dimension_past_cap_exits_3(self):
+        for name, v, clause in (("frobenius", 65, "v <= 64"),
+                                ("fraction", 64, "v <= 63"),
+                                ("char2_xy", 64, "v <= 63")):
+            r = CliRunner().invoke(main, ["example", name, "--v", str(v)])
+            assert r.exit_code == 3, r.output
+            assert isinstance(r.exception, SystemExit)  # not a crash
+            assert clause in r.output
 
     def test_starved_example_exits_2(self):
         r = CliRunner().invoke(main, ["example", "fraction",
