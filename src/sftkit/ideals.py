@@ -9,7 +9,11 @@ with a weight-gap prefilter settles it with very few membership searches.
 Below the public edges (generator lists, membership targets and provenance
 keys, all ExponentVector) the layer works in the monoid's lattice frame:
 integer tuples equal to the exponent times the presentation's denominator
-bound, with integer weights (MonoidPresentation.to_lattice).
+bound, with integer weights (MonoidPresentation.to_lattice). A MonomialIdeal
+stores its generators as lattice points, so building, multiplying and
+comparing ideals never leaves the frame; `gens` is the ExponentVector view.
+Each power step sums the previous power's generators with the base's: as a
+pair loop, or in rank 1 as a bitset sumset with the same result.
 
 MonomialIdeal also carries the ideal protocol the verdict layer is written
 against (the integer model's IntIdeal carries the same methods): its
@@ -28,40 +32,41 @@ from typing import Iterator, Optional
 
 from .budget import SearchContext
 from .errors import PreconditionViolated
-from .exponents import ExponentVector, MonoidPresentation
+from .exponents import _RANK1_BOUND, ExponentVector, MonoidPresentation
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Finite generator list of exponent vectors inside a monoid.
+    """Finite generator list of a monomial ideal inside a monoid, stored as
+    lattice points of the monoid in canonical order.
 
     Construct through monomial_ideal(), which normalizes to the canonical
-    minimal form; the raw constructor trusts its input.
+    minimal form; the raw constructor trusts its input. `gens` is the
+    read-only view with ExponentVector generators that reports, repr and
+    the public functions below show.
     """
 
     monoid: MonoidPresentation
-    gens: tuple[ExponentVector, ...]
+    generators: tuple[tuple[int, ...], ...]
     label: str = ""
+
+    @cached_property
+    def gens(self) -> tuple[ExponentVector, ...]:
+        return tuple(map(self.monoid.from_lattice, self.generators))
+
+    @cached_property
+    def gen_weights(self) -> tuple[int, ...]:
+        """Integer grading of each generator, in generators order."""
+        return tuple(map(self.monoid.lattice_weight, self.generators))
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
-
-    @cached_property
-    def lattice_gens(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(lattice point, integer weight) of each generator, in gens order."""
-        S = self.monoid
-        return tuple((v, S.lattice_weight(v))
-                     for v in (_lattice_gen(S, g) for g in self.gens))
+        return not self.generators
 
     def __repr__(self):
         tag = self.label or "ideal"
-        return f"<{tag}: {len(self.gens)} gens>"
+        return f"<{tag}: {len(self.generators)} gens>"
 
     # -- the ideal protocol, on lattice points
-
-    @cached_property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(v for v, _ in self.lattice_gens)
 
     def contains(self, v: tuple, ctx: Optional[SearchContext] = None) -> bool:
         return ideal_lattice_member(self, v, ctx or SearchContext())
@@ -70,20 +75,27 @@ class MonomialIdeal:
         return tuple(map(add, v, w))
 
     def power(self, m: int, ctx: Optional[SearchContext] = None) -> "MonomialIdeal":
-        return ideal_power(self, m, ctx)
+        return _power(self, m, ctx)[0]
 
     def products(self, n: int, ctx: Optional[SearchContext] = None) -> list:
         """(factors, point) for each generator of I^n; factors index gens."""
-        return _factored(*ideal_power_with_provenance(self, n, ctx))
+        return _factored(_power(self, n, ctx)[1])
 
     def powers(self, mmax: int, ctx: SearchContext) -> Iterator[tuple[int, list]]:
         """(m, products(m)) for m = 1..mmax, each power built on the last."""
-        for m, power, provenance in ideal_powers(self, mmax, ctx):
-            yield m, _factored(power, provenance)
+        for m, _, layer in _powers(self, mmax, ctx):
+            yield m, _factored(layer)
 
     def radical_index(self, v: tuple, kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:
-        return radical_member(self, self.monoid.from_lattice(v), kmax, ctx)
+        """radical_member for a lattice point."""
+        _check_kmax(kmax)
+        if ctx is None:
+            ctx = SearchContext()
+        for k in range(1, (kmax if any(v) else 1) + 1):
+            if ideal_lattice_member(self, tuple(k * x for x in v), ctx):
+                return k
+        return None
 
     def witness(self, v: tuple) -> dict:
         return {"exponent": self.monoid.from_lattice(v)}
@@ -93,17 +105,8 @@ class MonomialIdeal:
         return [monomial_element(ring, e, 1, 0) for e in self.gens]
 
 
-def _factored(power: MonomialIdeal, provenance: dict) -> list:
-    # ideal_powers keys provenance by power.gens, in that order
-    return list(zip(provenance.values(), power.generators))
-
-
-def _lattice_gen(S: MonoidPresentation, g: ExponentVector) -> tuple[int, ...]:
-    v = S.to_lattice(g)
-    if v is None:
-        raise PreconditionViolated(
-            "ideal generators lie in the monoid", f"{g!r} is off its lattice")
-    return v
+def _factored(layer: dict) -> list:
+    return [(factors, v) for v, factors in layer.items()]
 
 
 def _divides(S: MonoidPresentation, d: tuple, wd: int, ctx: SearchContext) -> bool:
@@ -169,20 +172,22 @@ def monomial_ideal(S: MonoidPresentation, gens, ctx: Optional[SearchContext] = N
     """
     if ctx is None:
         ctx = SearchContext()
-    gens = list(gens)
-    if verify_membership:
-        monoid_gen_set = set(S.gens)
-        for g in gens:
-            if g in monoid_gen_set or g.is_zero:
-                continue
-            if S.is_killed(g, ctx):
-                continue  # the zero element; dropped below
-            v = S.to_lattice(g)
-            if v is None or not S.lattice_contains(v, ctx):
-                raise PreconditionViolated(
-                    "ideal generators lie in the monoid", f"{g!r} is not in the monoid")
-    kept = minimalize(S, [_lattice_gen(S, g) for g in gens], ctx)
-    return MonomialIdeal(S, tuple(map(S.from_lattice, kept)), label)
+    monoid_gens = S._gen_lookup
+    points = []
+    for g in gens:
+        v = S.to_lattice(g)
+        # monoid generators and the zero vector are members outright; a
+        # killed point is the zero element, which minimalize drops
+        if verify_membership and v not in monoid_gens and (
+                v is None or any(v) and not S.lattice_killed(v, ctx)
+                and not S.lattice_contains(v, ctx)):
+            raise PreconditionViolated(
+                "ideal generators lie in the monoid", f"{g!r} is not in the monoid")
+        if v is None:
+            raise PreconditionViolated(
+                "ideal generators lie in the monoid", f"{g!r} is off its lattice")
+        points.append(v)
+    return MonomialIdeal(S, tuple(minimalize(S, points, ctx)), label)
 
 
 def ideal_member(I: MonomialIdeal, target: ExponentVector,
@@ -205,7 +210,7 @@ def ideal_lattice_member(I: MonomialIdeal, v: tuple, ctx: SearchContext) -> bool
     if S.lattice_killed(v, ctx):
         return True
     wv = S.lattice_weight(v)
-    for g, wg in I.lattice_gens:
+    for g, wg in zip(I.generators, I.gen_weights):
         if _divides(S, tuple(map(sub, v, g)), wv - wg, ctx):
             return True
     return False
@@ -218,9 +223,9 @@ def ideal_contains_witness(I: MonomialIdeal, J: MonomialIdeal,
         raise PreconditionViolated("same owning monoid")
     if ctx is None:
         ctx = SearchContext()
-    for g, (v, _) in zip(J.gens, J.lattice_gens):
+    for v in J.generators:
         if not ideal_lattice_member(I, v, ctx):
-            return g
+            return J.monoid.from_lattice(v)
     return None
 
 
@@ -228,6 +233,97 @@ def ideal_contains(I: MonomialIdeal, J: MonomialIdeal,
                    ctx: Optional[SearchContext] = None) -> bool:
     """True iff J ⊆ I (every generator of J passes ideal_member)."""
     return ideal_contains_witness(I, J, ctx) is None
+
+
+def _pair_sums(layer: list, base: tuple) -> dict:
+    """Every sum of a layer point and a base point, in first-seen order of
+    the (layer index, base index) pairs, mapped to that first pair."""
+    first: dict[tuple, tuple[int, int]] = {}
+    for i, p in enumerate(layer):
+        for j, g in enumerate(base):
+            e = tuple(map(add, p, g))
+            if e not in first:
+                first[e] = (i, j)
+    return first
+
+
+def _rank1_sums(layer: list, base: tuple) -> dict:
+    """_pair_sums for rank-1 points in ascending (canonical) order, as a
+    bitset sumset: the base's bitset shifted by each layer point in turn,
+    keeping only the bits no earlier layer point set. Those come out in
+    ascending order, which is base order, so the result, its order and the
+    pairs are the pair loop's."""
+    lo, p0 = base[0][0], layer[0][0]
+    bits = 0
+    for (g,) in base:
+        bits |= 1 << (g - lo)
+    index = {g - lo: j for j, (g,) in enumerate(base)}
+    first: dict[tuple, tuple[int, int]] = {}
+    seen = 0
+    for i, (p,) in enumerate(layer):
+        shift = p - p0
+        new = (bits << shift) & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            k = low.bit_length() - 1
+            first[(p0 + lo + k,)] = (i, index[k - shift])
+            new ^= low
+    return first
+
+
+def _powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
+            ) -> Iterator[tuple[int, MonomialIdeal, dict[tuple, tuple[int, ...]]]]:
+    """(m, I^m, layer) for m = 1..mmax, each power minimalize(I^(m-1)·I).
+
+    layer maps each generator of I^m, in canonical order, to one
+    factorization into indices of I's generators: that of the first
+    (generator of I^(m-1), generator of I) pair, both in canonical order,
+    that sums to it. A step is enumerated and charged only when the
+    consumer asks for it, and it charges |I^(m-1)|·|I| multisets, the
+    products it stands for, whichever route sums them.
+    """
+    S = I.monoid
+    base = I.generators
+    layer = {v: (i,) for i, v in enumerate(base)}
+    current = I
+    for m in range(1, mmax + 1):
+        if m > 1 and base:
+            count = len(layer) * len(base)
+            ctx.precheck_multisets(count)
+            ctx.charge_multisets(count)
+            points = list(layer)
+            # a rank-1 sumset is a bitset while it spans no more than the
+            # membership table does
+            if (S.dim == 1 and points and points[-1][0] - points[0][0]
+                    + base[-1][0] - base[0][0] <= _RANK1_BOUND):
+                first = _rank1_sums(points, base)
+            else:
+                first = _pair_sums(points, base)
+            kept = minimalize(S, first, ctx)
+            factors = list(layer.values())
+            layer = {}
+            for v in kept:
+                i, j = first[v]
+                layer[v] = tuple(sorted(factors[i] + (j,)))
+            current = MonomialIdeal(S, tuple(kept), f"{I.label or 'I'}^{m}")
+        yield m, current, layer
+
+
+def _power(I: MonomialIdeal, m: int, ctx: Optional[SearchContext]
+           ) -> tuple[MonomialIdeal, dict[tuple, tuple[int, ...]]]:
+    """I^m and its layer (see _powers)."""
+    if m < 1:
+        raise PreconditionViolated("m >= 1", f"got {m}")
+    if ctx is None:
+        ctx = SearchContext()
+    for _, power, layer in _powers(I, m, ctx):
+        pass
+    return power, layer
+
+
+def _edge_provenance(power: MonomialIdeal, layer: dict) -> dict:
+    return dict(zip(power.gens, layer.values()))
 
 
 def ideal_powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
@@ -238,27 +334,8 @@ def ideal_powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
     of I's generators (deterministic: first seen in canonical order). A step
     is enumerated and charged only when the consumer asks for it.
     """
-    S = I.monoid
-    base = [v for v, _ in I.lattice_gens]
-    # generators of the current power -> provenance, in canonical order
-    layer = {v: (i,) for i, v in enumerate(base)}
-    current = I
-    for m in range(1, mmax + 1):
-        if m > 1 and base:
-            count = len(layer) * len(base)
-            ctx.precheck_multisets(count)
-            ctx.charge_multisets(count)
-            nxt: dict[tuple, tuple[int, ...]] = {}
-            for p, prov in layer.items():
-                for j, g in enumerate(base):
-                    e = tuple(map(add, p, g))
-                    if e not in nxt:
-                        nxt[e] = tuple(sorted(prov + (j,)))
-            kept = minimalize(S, nxt, ctx)
-            layer = {v: nxt[v] for v in kept}
-            current = MonomialIdeal(S, tuple(map(S.from_lattice, kept)),
-                                    f"{I.label or 'I'}^{m}")
-        yield m, current, dict(zip(current.gens, layer.values()))
+    for m, power, layer in _powers(I, mmax, ctx):
+        yield m, power, _edge_provenance(power, layer)
 
 
 def ideal_power_with_provenance(I: MonomialIdeal, m: int,
@@ -267,20 +344,19 @@ def ideal_power_with_provenance(I: MonomialIdeal, m: int,
     """I^m plus, for each surviving generator, one factorization into
     indices of I's generators (deterministic: first seen in canonical order).
     """
-    if m < 1:
-        raise PreconditionViolated("m >= 1", f"got {m}")
-    if ctx is None:
-        ctx = SearchContext()
-    for _, power, provenance in ideal_powers(I, m, ctx):
-        pass
-    return power, provenance
+    power, layer = _power(I, m, ctx)
+    return power, _edge_provenance(power, layer)
 
 
 def ideal_power(I: MonomialIdeal, m: int,
                 ctx: Optional[SearchContext] = None) -> MonomialIdeal:
     """The ideal generated by all m-fold products of generators, minimalized."""
-    power, _ = ideal_power_with_provenance(I, m, ctx)
-    return power
+    return _power(I, m, ctx)[0]
+
+
+def _check_kmax(kmax: int) -> None:
+    if kmax < 1:
+        raise PreconditionViolated("kmax >= 1", f"got {kmax}")
 
 
 def radical_member(B: MonomialIdeal, target: ExponentVector, kmax: int,
@@ -291,8 +367,7 @@ def radical_member(B: MonomialIdeal, target: ExponentVector, kmax: int,
     land in B. The zero exponent vector is its own every power, so it is
     tested once and None then means no power lies in B.
     """
-    if kmax < 1:
-        raise PreconditionViolated("kmax >= 1", f"got {kmax}")
+    _check_kmax(kmax)
     if ctx is None:
         ctx = SearchContext()
     for k in range(1, (1 if target.is_zero else kmax) + 1):
@@ -310,7 +385,7 @@ def nilpotency_index(I: MonomialIdeal, B: MonomialIdeal, mmax: int,
         ctx = SearchContext()
     if not ideal_contains(I, B, ctx):
         raise PreconditionViolated("B ⊆ I", "the sub-ideal is not inside the ideal")
-    for m, power, _ in ideal_powers(I, mmax, ctx):
+    for m, power, _ in _powers(I, mmax, ctx):
         if ideal_contains(B, power, ctx):
             return m
     return None

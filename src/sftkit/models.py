@@ -65,13 +65,48 @@ def _params(**kw) -> tuple:
     return tuple(sorted(kw.items()))
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise PreconditionViolated(f"{name} >= {least}", f"got {value}")
+
+
 def _check_v(v: int, least: int, dim: int) -> None:
     """The variable count v against its floor, and the ambient dimension dim
     it gives against MAX_DIM, before anything is built."""
-    if v < least:
-        raise PreconditionViolated(f"v >= {least}", f"got {v}")
+    _at_least("v", v, least)
     if dim > MAX_DIM:
         raise PreconditionViolated(f"v <= {MAX_DIM - (dim - v)}", f"got {v}")
+
+
+# each family's parameter checks: its constructor runs them before it builds
+# anything, and check_model_params runs them without building
+
+
+def _check_frobenius(p: int, v: int) -> None:
+    _check_v(v, least=1, dim=v)
+    if not is_prime(p):
+        raise PreconditionViolated("p prime", f"got {p}")
+
+
+def _check_fraction(v: int, M: int) -> None:
+    _check_v(v, least=2, dim=1 + v)
+    _at_least("M", M, 1)
+
+
+def _check_int(D: int) -> None:
+    _at_least("D", D, 1)
+
+
+def _check_char2_xy(v: int, D: int) -> None:
+    _check_v(v, least=2, dim=1 + v)
+
+
+def _check_dyadic(nmax: int) -> None:
+    _at_least("nmax", nmax, 2)
+
+
+def _check_rational_valuation(denBound: int) -> None:
+    _at_least("denBound", denBound, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +117,7 @@ def frobenius_quotient(p: int = 2, v: int = 5,
                        ctx: Optional[SearchContext] = None) -> RingModel:
     """F_p[x_1..x_v] with every monomial containing an x_i^p set to zero.
     The maximal ideal is nilpotent but its index grows with v."""
-    _check_v(v, least=1, dim=v)
-    if not is_prime(p):
-        raise PreconditionViolated("p prime", f"got {p}")
+    _check_frobenius(p, v)
     char = PrimeChar(p)
     units = tuple(ExponentVector.unit(v, i, 1) for i in range(v))
     S = MonoidPresentation(
@@ -107,9 +140,7 @@ def fraction_monoid(v: int = 5, M: int = 4,
     """Char-2 monoid algebra on y, x_1..x_v and the fractions y/x_i^m for
     m <= M. Grading weights the y coordinate M+1 so every fraction keeps a
     positive weight."""
-    _check_v(v, least=2, dim=1 + v)
-    if M < 1:
-        raise PreconditionViolated("M >= 1", f"got {M}")
+    _check_fraction(v, M)
     dim = 1 + v
     y = ExponentVector.unit(dim, 0, 1)
     xs = tuple(ExponentVector.unit(dim, i, 1) for i in range(1, dim))
@@ -139,8 +170,7 @@ def fraction_monoid(v: int = 5, M: int = 4,
 def int_plus_2x(D: int = 10, ctx: Optional[SearchContext] = None) -> RingModel:
     """Z + 2xZ[x] truncated at x-degree D; coefficients are genuine
     integers, so ideal membership is the 2-valuation predicate."""
-    if D < 1:
-        raise PreconditionViolated("D >= 1", f"got {D}")
+    _check_int(D)
     ring = Int2xRing()
     ideals = (
         ("full", int_ideal_full(D, ring)),
@@ -159,7 +189,7 @@ def char2_xy(v: int = 5, D: int = 10,
     generators stand in for invertible coefficient-field elements, so the
     ring's maximal ideal is (X^2, XY_1, ..., XY_v). D only caps sampling
     degrees."""
-    _check_v(v, least=2, dim=1 + v)
+    _check_char2_xy(v, D)
     dim = 1 + v
     a = ExponentVector.from_map(dim, {0: Fraction(2)})          # X^2
     bs = tuple(ExponentVector.from_map(dim, {0: Fraction(1), i: Fraction(1)})
@@ -185,8 +215,7 @@ def char2_xy(v: int = 5, D: int = 10,
 def dyadic(nmax: int = 8, ctx: Optional[SearchContext] = None) -> RingModel:
     """Rank-1 monoid over Q generated by 1 and n + 2^-n for n <= nmax, with
     2-adically local coefficients; the generator 1 is the scalar 2."""
-    if nmax < 2:
-        raise PreconditionViolated("nmax >= 2", f"got {nmax}")
+    _check_dyadic(nmax)
     vals = [Fraction(1)] + [Fraction(n) + Fraction(1, 2 ** n)
                             for n in range(1, nmax + 1)]
     gens = tuple(ExponentVector.from_dense((q,)) for q in vals)
@@ -209,8 +238,7 @@ def rational_valuation(denBound: int = 6,
     """F_2 + xV at denominator bound d: rank-1 monoid generated by every
     1 + k/d! with 0 <= k < d!. All generators are minimal, so xV needs all
     of them; (x) is the principal sub-ideal."""
-    if denBound < 2:
-        raise PreconditionViolated("denBound >= 2", f"got {denBound}")
+    _check_rational_valuation(denBound)
     F = math.factorial(denBound)
     gens = tuple(ExponentVector.from_dense((Fraction(F + k, F),))
                  for k in range(F))
@@ -238,23 +266,48 @@ FAMILIES = {
 }
 
 
-def build_model(family: str, ctx: Optional[SearchContext] = None,
-                **params) -> RingModel:
-    """The family's model at these parameters. The membership searches that
-    building its ideals runs are charged to ctx (a fresh context if None).
-    A parameter the family does not take is an UnknownExample."""
+_CHECKS = {
+    "frobenius_quotient": _check_frobenius,
+    "fraction_monoid": _check_fraction,
+    "int_plus_2x": _check_int,
+    "char2_xy": _check_char2_xy,
+    "dyadic": _check_dyadic,
+    "rational_valuation": _check_rational_valuation,
+}
+
+
+def _constructor(family: str, params: dict):
+    """The family's constructor, once every parameter is one it takes (an
+    UnknownExample otherwise)."""
     try:
         ctor = FAMILIES[family]
     except KeyError:
         raise UnknownExample(family, sorted(FAMILIES)) from None
     known = [name for name in inspect.signature(ctor).parameters
              if name != "ctx"]
-    if ctx is not None and not isinstance(ctx, SearchContext):
-        params = {"ctx": ctx, **params}  # a model parameter named ctx
     unknown = sorted(set(params) - set(known))
     if unknown:
         raise UnknownExample(unknown[0], known, what=f"{family} parameter")
-    return ctor(**params, ctx=ctx)
+    return ctor
+
+
+def build_model(family: str, ctx: Optional[SearchContext] = None,
+                **params) -> RingModel:
+    """The family's model at these parameters. The membership searches that
+    building its ideals runs are charged to ctx (a fresh context if None).
+    A parameter the family does not take is an UnknownExample."""
+    if ctx is not None and not isinstance(ctx, SearchContext):
+        params = {"ctx": ctx, **params}  # a model parameter named ctx
+    return _constructor(family, params)(**params, ctx=ctx)
+
+
+def check_model_params(family: str, **params) -> None:
+    """Raise what build_model would raise for these parameters before it
+    builds anything (UnknownExample, PreconditionViolated), building nothing."""
+    call = inspect.signature(_constructor(family, params)).bind(**params)
+    call.apply_defaults()
+    call.arguments.pop("ctx")
+    _CHECKS[family](**call.arguments)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .errors import (BudgetExceeded, NoCertificateApplicable,
                      UnsupportedModel)
 from .exponents import ExponentVector
 from .ideals import monomial_ideal
-from .models import RingModel, build_model
+from .models import RingModel, build_model, check_model_params
 
 
 class Verdict(str, Enum):
@@ -170,17 +170,17 @@ def _same_monoid(I, B) -> None:
 def _check_sub(I, B, ctx) -> None:
     """B ⊆ I."""
     _same_monoid(I, B)
-    for g, x in zip(B.gens, B.generators):
+    for i, x in enumerate(B.generators):
         if not I.contains(x, ctx):
-            raise PreconditionViolated("B ⊆ I", f"generator {g!r} escapes")
+            raise PreconditionViolated("B ⊆ I", f"generator {B.gens[i]!r} escapes")
 
 
 def _check_radical(I, B, kmax, ctx, clause="I ⊆ √B") -> None:
     """Every generator of I has a power in B by kmax."""
-    for g, x in zip(I.gens, I.generators):
+    for i, x in enumerate(I.generators):
         if B.radical_index(x, kmax, ctx) is None:
             raise PreconditionViolated(
-                clause, f"no power of {g!r} lands inside by {kmax}")
+                clause, f"no power of {I.gens[i]!r} lands inside by {kmax}")
 
 
 def _sft_gens_core(data, ctx):
@@ -225,7 +225,8 @@ def verify_sft_generators(model: RingModel, data: SftData,
     witness = _sft_gens_core(data, ctx)
     if witness is None:
         return _report(claim, Verdict.VERIFIED, model, ctx, exact=True,
-                       generators_checked=len(data.I.gens), index=data.n)
+                       generators_checked=len(data.I.generators),
+                       index=data.n)
     return _report(claim, Verdict.REFUTED_WITH_WITNESS, model, ctx,
                    exact=True, witness=witness, index=data.n)
 
@@ -390,14 +391,17 @@ def divergence_table(family: str, level_key: str, levels, fixed: dict,
     A strictly increasing table on a model with a declared witness family is
     the computable signature of an index that exists at no finite value:
     verdict refuted_family. A constant table is verdict verified. Running
-    out of budget reports the truncation of the level that ran out. Each
-    level's model is built on ctx, so the searches that build its ideals
-    count in the report's budgets.
+    out of budget reports the truncation of the level that ran out. Every
+    level's parameters pass the family's checks before the first level is
+    built. Each level's model is built on ctx, so the searches that build
+    its ideals count in the report's budgets.
     """
     levels = list(levels)
     if len(levels) < 2:
         raise PreconditionViolated("at least two truncation levels",
                                    f"got {levels!r}")
+    for level in levels:
+        check_model_params(family, **{**fixed, level_key: level})
     table = []
     for level in levels:
         m = build_model(family, ctx, **{**fixed, level_key: level})

@@ -37,7 +37,8 @@ from sftkit.files import (
     record_to_model,
     report_record,
 )
-from sftkit.models import catalog_claims, catalog_models
+from sftkit import sftcheck
+from sftkit.models import build_model, catalog_claims, catalog_models
 from sftkit.sftcheck import Certificate, Verdict
 from sftkit.suite import ClaimResult, run_suite
 
@@ -306,18 +307,29 @@ class TestVerifyCommand:
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_malformed_claim_params_exit_3(self, tmp_path, case):
+    def test_malformed_claim_params_exit_3(self, tmp_path, case, monkeypatch):
         cid, edit, message = self.MALFORMED[case]
         rec = json.loads(json.dumps(jsonify(claim_to_record(claim_by_id(cid)))))
         edit(rec)
         p = tmp_path / "claims.json"
         p.write_text(json.dumps({"schema": "sftkit/claims/1",
                                  "claims": [rec]}))
+        built = []
+
+        def recording_build(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            built.append(model.name)
+            return model
+
+        monkeypatch.setattr(sftcheck, "build_model", recording_build)
         r = CliRunner().invoke(main, ["verify", str(p)])
         assert r.exit_code == 3, r.output
         assert isinstance(r.exception, SystemExit)  # not a crash
         assert message in r.output
         assert "Traceback" not in r.output
+        if rec["kind"] == "divergence":
+            # every level is checked before the first one is built
+            assert built == []
 
     def test_verify_unknown_model_reference_exits_3(self, tmp_path):
         import dataclasses

@@ -21,6 +21,8 @@ from sftkit.exponents import ExponentVector, MonoidPresentation
 from sftkit.models import build_model
 from sftkit.ideals import (
     MonomialIdeal,
+    _pair_sums,
+    _rank1_sums,
     ideal_contains,
     ideal_contains_witness,
     ideal_member,
@@ -297,10 +299,21 @@ def reference_powers(I, mmax):
         yield list(current), {e: layer[e.dense()] for e in current}
 
 
+NUMERICAL = presentation((3,), (5,), (7,))
+
+
 def power_pairs():
     yield "orthant", monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)])
     yield "mixed", monomial_ideal(MIXED, [ev(1, 0, -1), ev(0, 1, 1)])
     yield "even_x", monomial_ideal(EVEN_X, [ev(2, 0), ev(0, 1)])
+    # rank 1, where the first-pair rule has real choices: in the cube of
+    # (3,5,7), 13 = 6 + 7 (factors 0,0,2) = 8 + 5 (factors 0,1,1)
+    yield "numerical:(3,5,7)", monomial_ideal(NUMERICAL, [ev(3), ev(5), ev(7)])
+    yield "numerical:(5,7)", monomial_ideal(NUMERICAL, [ev(5), ev(7)])
+    yield "dyadic(nmax=5):max", build_model("dyadic", nmax=5).ideal("max")
+    # a rank-1 sumset wider than the membership table takes the pair loop
+    wide = presentation((1_000_000,), (6_000_001,))
+    yield "rank-1 wide", monomial_ideal(wide, [ev(1_000_000), ev(6_000_001)])
     models = [build_model("char2_xy", v=5, D=10), build_model("dyadic", nmax=8),
               build_model("rational_valuation", denBound=3)]
     for m, (a, b) in zip(models, [("I", "B"), ("max", "two"), ("xV", "x")]):
@@ -323,13 +336,48 @@ class TestLatticeFrame:
         assert m == 4
 
     def test_each_power_enumerated_once(self):
-        I = monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)])
-        ctx = SearchContext()
-        sizes = [len(P.gens) for _, P, _ in ideal_powers(I, 4, ctx)]
-        assert ctx.multisets_used == sum(n * len(I.gens) for n in sizes[:-1])
-        one = SearchContext()
-        ideal_power(I, 4, one)
-        assert one.multisets_used == ctx.multisets_used
+        # the rank-1 sumset charges the pairs a step stands for, like the
+        # pair loop, not the shifts it does
+        for I in (monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)]),
+                  monomial_ideal(NUMERICAL, [ev(3), ev(5), ev(7)])):
+            ctx = SearchContext()
+            sizes = [len(P.gens) for _, P, _ in ideal_powers(I, 4, ctx)]
+            assert ctx.multisets_used == sum(n * len(I.gens) for n in sizes[:-1])
+            one = SearchContext()
+            ideal_power(I, 4, one)
+            assert one.multisets_used == ctx.multisets_used
+
+    def test_rank1_sums_match_pair_loop(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            base = tuple((g,) for g in sorted(rng.sample(range(0, 40), rng.randint(1, 6))))
+            layer = [(p,) for p in sorted(rng.sample(range(0, 90), rng.randint(1, 8)))]
+            want = _pair_sums(layer, base)
+            got = _rank1_sums(layer, base)
+            assert list(got.items()) == list(want.items()), (layer, base)
+
+    @pytest.mark.parametrize("name,I", list(power_pairs()),
+                             ids=[n for n, _ in power_pairs()])
+    def test_protocol_powers_stay_on_the_lattice(self, name, I, monkeypatch):
+        want = [(m, products) for m, products in I.powers(3, SearchContext())]
+
+        def refuse(*args):
+            raise AssertionError("exponent conversion inside the power loop")
+
+        S = I.monoid
+        monkeypatch.setattr(type(S), "from_lattice", refuse)
+        monkeypatch.setattr(type(S), "to_lattice", refuse)
+        assert list(I.powers(3, SearchContext())) == want
+        assert I.products(3) == want[-1][1]
+        assert I.power(3).generators == tuple(v for _, v in want[-1][1])
+
+    def test_ideal_built_two_ways_is_equal(self):
+        for I in (monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)]),
+                  monomial_ideal(NUMERICAL, [ev(5), ev(7)])):
+            P = ideal_power(I, 3)
+            Q = monomial_ideal(I.monoid, P.gens, label=P.label)
+            assert P == Q and hash(P) == hash(Q)
+            assert all(type(x) is int for v in Q.generators for x in v)
 
     def test_target_off_the_lattice_is_not_a_member(self):
         # denominator bound 2; 5/4 has denominator 4 = 2^2, which divides

@@ -18,6 +18,7 @@ from sftkit.exponents import ExponentVector
 from sftkit.models import (
     FAMILIES,
     build_model,
+    check_model_params,
     catalog_claims,
     catalog_models,
     char2_xy,
@@ -100,6 +101,25 @@ class TestConstructors:
         assert "unknown dyadic parameter 'p'; available: nmax" in str(ei.value)
         with pytest.raises(UnknownExample):
             frobenius_quotient(2, 2).ideal("no_such_ideal")
+
+    BAD_PARAMS = {
+        "frobenius_quotient": [{"p": 4}, {"v": 0}, {"v": 65}],
+        "fraction_monoid": [{"v": 1}, {"M": 0}, {"v": 64}],
+        "int_plus_2x": [{"D": 0}],
+        "char2_xy": [{"v": 1}, {"v": 64}],
+        "dyadic": [{"nmax": 1}, {"p": 3}],
+        "rational_valuation": [{"denBound": 1}],
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_params_checked_without_building(self, family):
+        assert check_model_params(family) is None
+        for params in self.BAD_PARAMS[family]:
+            with pytest.raises((PreconditionViolated, UnknownExample)) as built:
+                build_model(family, **params)
+            with pytest.raises(built.type) as checked:
+                check_model_params(family, **params)
+            assert str(checked.value) == str(built.value), params
 
     def test_constructors_are_deterministic(self):
         for family, ctor in FAMILIES.items():

@@ -249,6 +249,20 @@ class TestBudgetPolicy:
                 r.claim.expected, Verdict.INCONCLUSIVE_AT_TRUNCATION.value)
         assert exit_code(results) == 2
 
+    def test_power_meter_counts_products_not_shifts(self):
+        # the rank-1 sumset builds xV^2 at denBound 7 from 5,040 shifts, but
+        # the multisets meter still charges the 5,040^2 products they stand
+        # for: past the default budget, inside the deep one
+        m = build_model("rational_valuation", denBound=7)
+        models = {"rational_valuation": m}
+        claim = claim_by_id("xv-vsft")
+        deep = run_claim(claim, models=models, budgets=PROFILES["deep"])
+        assert deep.verdict is Verdict.VERIFIED
+        assert deep.budgets_used["multisets"] == 5040 ** 2 == 25_401_600
+        short = run_claim(claim, models=models, budgets=PROFILES["default"])
+        assert short.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
+        assert short.details["budget_exhausted"] == "CombinatorialBudgetExceeded"
+
     def test_divergence_charges_model_builds_to_its_report(self, monkeypatch):
         # every level's model is built on the claim's context, so the
         # searches that build its ideals are charged to the report
