@@ -26,6 +26,7 @@ from sftkit.elements import (element_in_ideal, element_multiply,
 from sftkit.errors import (PreconditionViolated, TruncationTooSmall,
                            UnsupportedModel)
 from sftkit.exponents import ExponentVector, scalar_multiple
+from sftkit.files import drop_timing, dumps_record, report_record
 from sftkit.ideals import ideal_member, monomial_ideal
 from sftkit.models import (build_model, catalog_claims, catalog_models,
                            dyadic, fraction_monoid, frobenius_quotient,
@@ -63,6 +64,12 @@ def claim_by_id(cid: str):
 
 
 MODELS = catalog_models()
+
+# the catalog's machine records, timing dropped, one line per claim in
+# catalog order; a change that moves a record on purpose regenerates this
+# file and says which records moved and why
+GOLDEN_RECORDS = os.path.join(os.path.dirname(__file__), "golden",
+                              "catalog_records.jsonl")
 
 
 def rerun(cid: str):
@@ -653,3 +660,10 @@ class TestSuiteRunner:
         bad = [(r.claim.id, r.problems or r.error) for r in results if not r.ok]
         assert not bad
         assert exit_code(results) == 0
+        lines = [dumps_record(drop_timing(report_record(r))) for r in results]
+        with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
+            golden = fh.read().splitlines()
+        assert len(lines) == len(golden)
+        moved = [r.claim.id for r, got, want in zip(results, lines, golden)
+                 if got != want]
+        assert not moved, f"records moved: {moved}"
