@@ -1,10 +1,7 @@
 """Membership-search benchmark: wall time and node throughput of the kernel.
 
 Runs search instances straight through _search_py.run_search, below the
-dispatch layer, once per order mode: "lex" finds the lexicographically
-first witness (what MonoidPresentation.member reports), "decide" tries
-multiplicities from the largest down (what the ideal layer's yes/no route,
-MonoidPresentation.lattice_contains, runs). Instances mix the shipped model
+dispatch layer, each on a fresh memo. Instances mix the shipped model
 monoids (realistic sparse systems with mixed-sign generators) with
 synthetic stress cases.
 
@@ -90,13 +87,13 @@ def synthetic_instances(rng: random.Random, n: int):
     return out
 
 
-def run_one(inst, decide: bool):
+def run_one(inst):
     gens, weights, tables, tint, wtarget = inst
     return _search_py.run_search(gens, weights, *tables, tint, wtarget, BIG,
-                                 {}, {} if decide else None)
+                                 {})
 
 
-def bench(instances, repeat: int, decide: bool):
+def bench(instances, repeat: int):
     """(best wall time over repeat runs, total nodes of one run)."""
     best = None
     nodes = 0
@@ -104,7 +101,7 @@ def bench(instances, repeat: int, decide: bool):
         t0 = time.perf_counter()
         nodes = 0
         for _, inst in instances:
-            nodes += run_one(inst, decide)[2]
+            nodes += run_one(inst)[2]
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best, nodes
@@ -123,12 +120,11 @@ def main():
               ("synthetic", synthetic_instances(random.Random(args.seed),
                                                 args.random))]
     for gname, instances in groups:
-        for mode, decide in (("lex", False), ("decide", True)):
-            dt, nodes = bench(instances, args.repeat, decide)
-            rate = nodes / dt if dt else float("inf")
-            print(f"{gname} [{mode:6}]: {len(instances)} searches, best of"
-                  f" {args.repeat}: {dt * 1000:8.1f} ms  {nodes:9d} nodes"
-                  f"  {rate / 1e6:6.2f} Mnodes/s")
+        dt, nodes = bench(instances, args.repeat)
+        rate = nodes / dt if dt else float("inf")
+        print(f"{gname}: {len(instances)} searches, best of {args.repeat}:"
+              f" {dt * 1000:8.1f} ms  {nodes:9d} nodes"
+              f"  {rate / 1e6:6.2f} Mnodes/s")
 
 
 if __name__ == "__main__":

@@ -4,22 +4,14 @@ Decides whether an integer target vector is a nonnegative integer combination
 of generator vectors, all carrying positive integer weights. Depth-first over
 generators in the order given (callers sort by decreasing weight).
 
-Two order modes share the one loop:
-- lexicographic (the default) tries multiplicities in increasing order, so
-  the first solution found is the lexicographically smallest multiplicity
-  vector in that order;
-- descending (a `desc_memo` is passed) tries them from the largest down. It
-  answers yes or no, usually in far fewer nodes, and its witness is some
-  solution, not the lexicographic one.
+Multiplicities are tried from the largest down, so the first solution found
+is the lexicographically largest multiplicity vector in that order.
 
 The memo maps (residual tuple, generator index) to the first viable
-multiplicity, or -1 when the residual is not expressible from that suffix.
-A -1 entry does not depend on the order mode, so both modes share `memo` for
-them. A viable multiplicity does: the lexicographic mode keeps its own in
-`memo` and never reads `desc_memo`; the descending mode writes its own to
-`desc_memo` and reads both (any viable multiplicity leads to a solution).
-So a descending query never changes the witness a lexicographic one reads
-off.
+multiplicity, which is the largest one, or -1 when the residual is not
+expressible from that suffix. Every entry is what a complete search from
+that node finds, so a witness read off the memo does not depend on which
+queries filled it.
 
 Node accounting: one node is charged on every call entry, memo hits and
 pruned entries included. Reports carry these counts, so they are part of
@@ -133,20 +125,17 @@ def drop_infeasible(drop, res) -> bool:
 
 
 def run_search(gens, weights, minw_suffix, pos_masks, neg_masks, drops,
-               target, wtarget, allowance, memo, desc_memo=None):
+               target, wtarget, allowance, memo):
     """Returns (status, counts or None, nodes_used).
 
     counts is indexed like gens. allowance is the maximum number of nodes
     chargeable; hitting it aborts with BUDGET and nothing is memoized for
-    the aborted frontier. Passing desc_memo selects the descending order
-    mode (module docstring); its viable multiplicities go there.
+    the aborted frontier.
     """
     ngens = len(gens)
     dim = len(target)
-    descending = desc_memo is not None
-    found_memo = desc_memo if descending else memo
     nodes = 0
-    stack = []  # frames: [res, wres, i, c, cmax]
+    stack = []  # frames: [res, wres, i, c]
     res = target
     wres = wtarget
     i = 0
@@ -164,8 +153,6 @@ def run_search(gens, weights, minw_suffix, pos_masks, neg_masks, drops,
             else:
                 key = (res, i)
                 v = memo.get(key)
-                if v is None and descending:
-                    v = desc_memo.get(key)
                 if v is not None:
                     ret = v >= 0
                 elif wres < minw_suffix[i]:
@@ -186,17 +173,14 @@ def run_search(gens, weights, minw_suffix, pos_masks, neg_masks, drops,
                         memo[key] = -1
                         ret = False
                     else:
-                        cmax = wres // weights[i]
-                        if descending and cmax:
-                            # descend with the largest multiplicity first
-                            stack.append([res, wres, i, cmax, cmax])
+                        # descend with the largest multiplicity first
+                        c = wres // weights[i]
+                        stack.append([res, wres, i, c])
+                        if c:
                             g = gens[i]
-                            res = tuple([res[k] - cmax * g[k]
+                            res = tuple([res[k] - c * g[k]
                                          for k in range(dim)])
-                            wres -= cmax * weights[i]
-                        else:
-                            # descend with multiplicity 0 of generator i
-                            stack.append([res, wres, i, 0, cmax])
+                            wres -= c * weights[i]
                         i += 1
                         continue
             # fall through to unwind with ret set
@@ -204,15 +188,13 @@ def run_search(gens, weights, minw_suffix, pos_masks, neg_masks, drops,
             break
         frame = stack[-1]
         if ret:
-            found_memo[(frame[0], frame[2])] = frame[3]
+            memo[(frame[0], frame[2])] = frame[3]
             stack.pop()
-            ret = True
             continue
-        c = frame[3] - 1 if descending else frame[3] + 1
-        if c < 0 or c > frame[4]:
+        c = frame[3] - 1
+        if c < 0:
             memo[(frame[0], frame[2])] = -1
             stack.pop()
-            ret = False
             continue
         frame[3] = c
         fres = frame[0]
@@ -229,10 +211,7 @@ def run_search(gens, weights, minw_suffix, pos_masks, neg_masks, drops,
     res = target
     i = 0
     while any(res):
-        key = (res, i)
-        c = found_memo.get(key)
-        if c is None:
-            c = memo[key]
+        c = memo[(res, i)]
         if c:
             counts[i] = c
             g = gens[i]

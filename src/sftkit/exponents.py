@@ -123,9 +123,6 @@ class ExponentVector:
             return ExponentVector.zero(self.dim)
         return ExponentVector(self.dim, tuple((i, v * k) for i, v in self.entries))
 
-    def lex_key(self) -> tuple:
-        return self.dense()
-
     def __repr__(self):
         if self.is_zero:
             return f"EV[0]^{self.dim}"
@@ -432,29 +429,25 @@ class MonoidPresentation:
 
         Queries are first canonicalized by sorting entries within
         interchangeable coordinate groups; for a target already in canonical
-        form the witness is the lexicographically smallest multiplicity
+        form the witness is the lexicographically largest multiplicity
         vector with generators ordered by decreasing weight, and otherwise it
-        is that witness pulled back along the coordinate permutation. A
-        target off the lattice is not a member."""
+        is that witness pulled back along the coordinate permutation. It does
+        not depend on the queries ctx saw before. A target off the lattice is
+        not a member; callers that only need yes or no on a lattice point
+        take lattice_contains, which agrees on every answer."""
         if ctx is None:
             ctx = SearchContext()
         v = self.to_lattice(target)
         if v is None:
             return None
-        pairs = self.lattice_member(v, ctx)
-        return None if pairs is None else MonoidMembershipWitness(pairs)
-
-    def lattice_member(self, v: tuple,
-                       ctx: SearchContext) -> Optional[tuple[tuple[int, int], ...]]:
-        """member() for a lattice point: the witness's (generator index,
-        multiplicity) pairs, or None. The witness is the lexicographic one
-        member() describes; callers that only need yes or no take
-        lattice_contains, which is cheaper and agrees on every answer."""
-        found = self._lattice_search(v, ctx, decide=False)
+        found = self._lattice_search(v, ctx)
         if found is None:
             return None
-        counts, _, perm = found
+        counts, query, perm = found
         pack = self._pack
+        if counts is None:
+            counts = _rank1_counts(query[0], pack["gens_int"],
+                                   self._rank1_table(query[0], ctx))
         order = pack["order"]
         scaled = pack["scaled"]
         pairs = sorted((order[j], c) for j, c in enumerate(counts) if c)
@@ -470,20 +463,18 @@ class MonoidPresentation:
         if _resum(((scaled[j], c) for j, c in pairs), self.dim) != v:
             # soundness guard; never expected to fire
             raise AssertionError("membership witness does not re-sum to the target")
-        return tuple(pairs)
+        return MonoidMembershipWitness(tuple(pairs))
 
     def lattice_contains(self, v: tuple, ctx: SearchContext) -> bool:
-        """Is the lattice point v in S? The decision route for callers that
-        need no witness (divisibility in the ideal layer, the kill
-        predicate, generator checks).
+        """Is the lattice point v in S? The route for callers that need no
+        witness (divisibility in the ideal layer, the kill predicate,
+        generator checks).
 
-        Same boundary as lattice_member. In rank 1 it is one bit test of the
-        reachability table, 1 node. Otherwise the search tries
-        multiplicities from the largest down and keeps its viable ones in a
-        memo of its own, so it never changes a later lattice_member witness;
-        its witness is still read off and re-summed against the
-        canonicalized target."""
-        found = self._lattice_search(v, ctx, decide=True)
+        Same search and memo as member(). In rank 1 it is one bit test of
+        the reachability table, 1 node, with no witness read off; otherwise
+        the search's witness is re-summed against the canonicalized
+        target."""
+        found = self._lattice_search(v, ctx)
         if found is None:
             return False
         counts, query, _ = found
@@ -493,11 +484,11 @@ class MonoidPresentation:
             raise AssertionError("membership witness does not re-sum to the target")
         return True
 
-    def _lattice_search(self, v: tuple, ctx: SearchContext, decide: bool):
-        """The boundary lattice_member and lattice_contains share: None for a
+    def _lattice_search(self, v: tuple, ctx: SearchContext):
+        """The boundary member and lattice_contains share: None for a
         non-member, else (counts over gens_int, the canonical target they
         sum to, its coordinate map from _canonical_target). counts is None
-        for a rank-1 decision, which reads no witness off."""
+        for a rank-1 member, which is one bit test with no read-off."""
         if not any(v):
             return [], v, None
         if not self.gens:
@@ -507,20 +498,18 @@ class MonoidPresentation:
         if wtarget < 0:
             return None
         query, perm = self._canonical_target(v)
-        gens_int = pack["gens_int"]
         if self.dim == 1 and 0 <= query[0] <= _RANK1_BOUND:
             a = query[0]
             suffix = self._rank1_table(a, ctx)
             ctx.charge_nodes(1)
             if not (suffix[0] >> a) & 1:
                 return None
-            counts = None if decide else _rank1_counts(a, gens_int, suffix)
+            counts = None
         else:
-            tables = self._ctx_tables(ctx)
             status, counts, nodes = _search_py.run_search(
-                gens_int, pack["weights_int"], *pack["tables"],
-                query, wtarget, ctx.nodes_left(), tables.setdefault("memo", {}),
-                tables.setdefault("desc_memo", {}) if decide else None)
+                pack["gens_int"], pack["weights_int"], *pack["tables"],
+                query, wtarget, ctx.nodes_left(),
+                self._ctx_tables(ctx).setdefault("memo", {}))
             ctx.charge_nodes(nodes)
             if status == _search_py.BUDGET:
                 raise SearchBudgetExceeded(ctx.nodes_used)
@@ -529,8 +518,8 @@ class MonoidPresentation:
         return counts, query, perm
 
     def _ctx_tables(self, ctx: SearchContext) -> dict:
-        """This presentation's search tables in the context (rank-1 bitsets,
-        the lexicographic memo, the descending route's memo)."""
+        """This presentation's search tables in the context: the rank-1
+        reachability bitsets and the search memo."""
         slot = ctx.tables.get(id(self))
         if slot is None or slot[0] is not self:
             slot = (self, {})
@@ -579,19 +568,17 @@ def _resum(terms, dim: int) -> tuple:
 
 def _rank1_counts(a: int, gens_int, suffix: list) -> list:
     """The witness of a rank-1 member a, read off the reachability table:
-    the smallest count for each generator in turn, matching the depth-first
-    search's lexicographic-first contract."""
+    the largest count for each generator in turn, the depth-first search's
+    lexicographically largest contract."""
     counts = [0] * len(gens_int)
     rem = a
     for i, (g,) in enumerate(gens_int):
         if rem == 0:
             break
         nxt = suffix[i + 1]
-        c = 0
-        while c * g <= rem:
-            if (nxt >> (rem - c * g)) & 1:
-                break
-            c += 1
+        c = rem // g
+        while not (nxt >> (rem - c * g)) & 1:
+            c -= 1
         counts[i] = c
         rem -= c * g
     return counts

@@ -2,10 +2,10 @@
 
 Nearly everything here calls run_search directly, below the dispatch layer,
 so canonicalization and the fast paths cannot mask a kernel fault; only the
-decision route's memo isolation and its agreement with member() are checked
-through MonoidPresentation, where the two order modes share a context.
-Random instances are checked against brute-force oracles that share no code
-with the kernel, in both order modes.
+shared memo and the agreement of member() with lattice_contains and with the
+rank-1 bitset read-off are checked through MonoidPresentation. Random
+instances are checked against brute-force oracles that share no code with
+the kernel.
 
 Node counts on the frozen instances pin the search order itself: any
 reordering of the DFS, the memo policy, or the charge points shows up as
@@ -35,40 +35,39 @@ BIG = 10 ** 9
 # frozen.
 FROZEN = [
     # (gens, weights, target, wtarget, status, counts, nodes)
-    (((0, 3), (2, 0), (1, 1)), (3, 2, 2), (4, 3), 7, FOUND, [1, 2, 0], 24),
+    (((0, 3), (2, 0), (1, 1)), (3, 2, 2), (4, 3), 7, FOUND, [1, 2, 0], 4),
     (((0, 3), (2, 0), (1, 1)), (3, 2, 2), (5, 0), 5, NOT_MEMBER, None, 11),
     (((0, 3), (2, 0), (1, 1)), (3, 2, 2), (1, 2), 3, NOT_MEMBER, None, 7),
-    (((0, 3), (2, 0), (1, 1)), (3, 2, 2), (7, 6), 13, FOUND, [1, 2, 3], 50),
+    (((0, 3), (2, 0), (1, 1)), (3, 2, 2), (7, 6), 13, FOUND, [1, 2, 3], 26),
     (((0, 3), (2, 0), (1, 1)), (3, 2, 2), (0, 0), 0, FOUND, [0, 0, 0], 1),
     (((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1)), (4, 3, 2, 1, 1),
-     (3, -2, -2), 8, FOUND, [0, 2, 1, 0, 0], 7),
+     (3, -2, -2), 8, FOUND, [0, 2, 1, 0, 0], 6),
     (((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1)), (4, 3, 2, 1, 1),
      (2, -1, -1), 6, FOUND, [0, 1, 1, 0, 1], 9),
     (((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1)), (4, 3, 2, 1, 1),
-     (2, -2, 0), 6, FOUND, [0, 2, 0, 0, 0], 5),
+     (2, -2, 0), 6, FOUND, [0, 2, 0, 0, 0], 4),
     (((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1)), (4, 3, 2, 1, 1),
-     (4, 0, -5), 11, FOUND, [0, 0, 4, 0, 3], 13),
+     (4, 0, -5), 11, FOUND, [1, 0, 3, 0, 1], 10),
     # decided at the root by the drop table: lowering coordinates 1 and 2 by
     # 3 takes at least 3 + 2 droppers, each adding 1 to coordinate 0, which
     # has only 3
     (((1, 0, 0), (1, -1, 0), (1, 0, -2), (0, 1, 0), (0, 0, 1)), (4, 3, 2, 1, 1),
      (3, -3, -3), 6, NOT_MEMBER, None, 1),
-    (((5,), (3,)), (5, 3), (11,), 11, FOUND, [1, 2], 10),
+    (((5,), (3,)), (5, 3), (11,), 11, FOUND, [1, 2], 4),
     (((5,), (3,)), (5, 3), (4,), 4, NOT_MEMBER, None, 4),
-    (((5,), (3,)), (5, 3), (29,), 29, FOUND, [1, 8], 22),
+    (((5,), (3,)), (5, 3), (29,), 29, FOUND, [4, 3], 6),
     (((5,), (3,)), (5, 3), (7,), 7, NOT_MEMBER, None, 6),
 ]
 
 
-def call(engine, gens, weights, target, wtarget, allowance=BIG, memo=None,
-         desc_memo=None):
-    """One search; passing desc_memo selects the descending order mode."""
+def call(engine, gens, weights, target, wtarget, allowance=BIG, memo=None):
+    """One search: (result, memo), on a fresh memo unless one is passed."""
     dim = len(target)
     tables = pure.suffix_tables(gens, weights, dim)
     if memo is None:
         memo = {}
     status, counts, nodes = engine.run_search(
-        gens, weights, *tables, target, wtarget, allowance, memo, desc_memo)
+        gens, weights, *tables, target, wtarget, allowance, memo)
     if counts is not None:
         counts = list(counts)
     return (status, counts, nodes), memo
@@ -114,8 +113,8 @@ def random_instance(rng: random.Random):
     return (tuple(g for g, _ in gens), tuple(w for _, w in gens), target, wtarget)
 
 
-def lex_first_counts(gens, weights, target, wtarget):
-    """The lexicographically smallest multiplicity vector (gens in the
+def lex_largest_counts(gens, weights, target, wtarget):
+    """The lexicographically largest multiplicity vector (gens in the
     order given) summing to target, or None. Plain memoized recursion over
     the multiplicity of each generator in turn, with none of the kernel's
     prunes."""
@@ -127,7 +126,7 @@ def lex_first_counts(gens, weights, target, wtarget):
             return (0,) * (n - i)
         if i == n or wres <= 0:
             return None
-        for c in range(wres // weights[i] + 1):
+        for c in range(wres // weights[i], -1, -1):
             tail = rec(i + 1, tuple(r - c * g for r, g in zip(res, gens[i])),
                        wres - c * weights[i])
             if tail is not None:
@@ -140,7 +139,7 @@ def lex_first_counts(gens, weights, target, wtarget):
 
 def brute_reachable(gens, weights, target, wtarget):
     """Is target a sum of generators? Subtracts one generator at a time in
-    any order; shares nothing with the kernel or lex_first_counts."""
+    any order; shares nothing with the kernel or lex_largest_counts."""
 
     @lru_cache(maxsize=None)
     def rec(res, wres):
@@ -162,7 +161,7 @@ class TestAgainstOracle:
             got, memo = call(pure, gens, weights, target, wtarget, allowance)
             full, full_memo = call(pure, gens, weights, target, wtarget)
             where = (gens, weights, target, wtarget, allowance)
-            want = lex_first_counts(gens, weights, target, wtarget)
+            want = lex_largest_counts(gens, weights, target, wtarget)
             assert (want is not None) == brute_reachable(
                 gens, weights, target, wtarget), where
             assert full[:2] == ((FOUND, want) if want is not None
@@ -184,12 +183,12 @@ class TestAgainstOracle:
         assert again[2] == 1  # root answered from the memo
 
     def test_budget_abort_is_bit_identical(self):
-        gens, weights, target, wtarget = FROZEN[3][:4]  # needs 50 nodes
-        for allowance in (0, 1, 10, 49):
+        gens, weights, target, wtarget = FROZEN[3][:4]  # needs 26 nodes
+        for allowance in (0, 1, 10, 25):
             got, _ = call(pure, gens, weights, target, wtarget, allowance)
             assert got == (BUDGET, None, allowance)
-        got, _ = call(pure, gens, weights, target, wtarget, 50)
-        assert got == (FOUND, [1, 2, 3], 50)
+        got, _ = call(pure, gens, weights, target, wtarget, 26)
+        assert got == (FOUND, [1, 2, 3], 26)
 
 
 def direct_drop_table(gens, dim):
@@ -211,18 +210,10 @@ def direct_drop_table(gens, dim):
     return (separated, tuple(rows)) if rows else None
 
 
-def decide(gens, weights, target, wtarget, allowance=BIG):
-    """One descending-mode search on fresh memos: (result, memo, desc_memo)."""
-    desc_memo = {}
-    got, memo = call(pure, gens, weights, target, wtarget, allowance,
-                     desc_memo=desc_memo)
-    return got, memo, desc_memo
-
-
 def fraction_like():
     """y, x1, x2 and the fractions y/x_i, y/x_i^2, graded (3, 1, 1): most
-    members have many expressions, and the two order modes pick different
-    ones."""
+    members have many expressions, so a witness that depended on the memo's
+    history would show."""
     dense = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
              (1, -2, 0), (1, 0, -2)]
     return MonoidPresentation(
@@ -235,60 +226,29 @@ FRACTION_TARGETS = [(a, b, c) for a in range(4)
 
 
 class TestDecisionRoute:
-    def test_random_instances_agree(self):
-        rng = random.Random(20260819)
-        for trial in range(400):
-            gens, weights, target, wtarget = random_instance(rng)
-            allowance = BIG if trial % 5 else rng.randint(1, 30)
-            got, memo, desc_memo = decide(gens, weights, target, wtarget,
-                                          allowance)
-            full, full_memo, full_desc = decide(gens, weights, target, wtarget)
-            where = (gens, weights, target, wtarget, allowance)
-            if brute_reachable(gens, weights, target, wtarget):
-                assert full[0] == FOUND, where
-                assert resum(gens, full[1]) == target, where
-            else:
-                assert full[:2] == (NOT_MEMBER, None), where
-            # viable multiplicities only ever go to the mode's own memo
-            assert all(v == -1 for v in full_memo.values()), where
-            assert all(v >= 0 for v in full_desc.values()), where
-            if full[2] > allowance:
-                assert got == (BUDGET, None, allowance), where
-                assert all(full_memo[k] == v for k, v in memo.items()), where
-                assert all(full_desc[k] == v
-                           for k, v in desc_memo.items()), where
-            else:
-                assert got == full, where
-                assert memo == full_memo and desc_memo == full_desc, where
-
-    def test_modes_pick_different_witnesses(self):
-        # keeps the isolation test below meaningful: on these targets the
-        # descending witness is not the lexicographic one
-        pack = fraction_like()._pack
-        differ = 0
-        for t in FRACTION_TARGETS:
-            w = 3 * t[0] + t[1] + t[2]
-            lex, _ = call(pure, pack["gens_int"], pack["weights_int"], t, w)
-            desc, _, _ = decide(pack["gens_int"], pack["weights_int"], t, w)
-            assert lex[0] == desc[0]
-            differ += lex[1] != desc[1]
-        assert differ > 20
+    """member() and the yes/no route lattice_contains on shared contexts."""
 
     def test_decisions_leave_member_witnesses_alone(self):
+        # one memo serves every query, so a witness cannot depend on what
+        # the context answered before
         S = fraction_like()
         ctx = SearchContext()
         for t in FRACTION_TARGETS:
             S.lattice_contains(t, ctx)
+        rev = SearchContext()
+        for t in reversed(FRACTION_TARGETS):
+            S.member(ExponentVector.from_dense(t), rev)
         for t in FRACTION_TARGETS:
             e = ExponentVector.from_dense(t)
-            assert S.member(e, ctx) == S.member(e, SearchContext()), t
+            want = S.member(e, SearchContext())
+            assert S.member(e, ctx) == want == S.member(e, rev), t
 
     def test_contains_agrees_with_member(self):
         S = fraction_like()
         ctx = SearchContext()
         for t in FRACTION_TARGETS:
-            assert S.lattice_contains(t, ctx) == (
-                S.lattice_member(t, SearchContext()) is not None), t
+            assert S.lattice_contains(t, ctx) == (S.member(
+                ExponentVector.from_dense(t), SearchContext()) is not None), t
         R = MonoidPresentation(
             dim=1, gens=tuple(ExponentVector.from_dense([g]) for g in (5, 7, 9)),
             weights=(1,))
@@ -296,9 +256,32 @@ class TestDecisionRoute:
         assert not R.lattice_contains((1,), ctx)  # builds the bitset table
         base = ctx.nodes_used
         for a in range(2, 60):
-            assert R.lattice_contains((a,), ctx) == (
-                R.lattice_member((a,), SearchContext()) is not None), a
+            assert R.lattice_contains((a,), ctx) == (R.member(
+                ExponentVector.from_dense([a]), SearchContext()) is not None), a
         assert ctx.nodes_used == base + 58  # one bit test per query
+
+
+class TestRankOneReadOff:
+    @pytest.mark.parametrize("values", [(3, 5, 7), (5, 7, 9)])
+    def test_bitset_witness_matches_search(self, values):
+        # member() reads a rank-1 witness off the reachability bitset; the
+        # depth-first search must land on the same multiplicities
+        R = MonoidPresentation(
+            dim=1, gens=tuple(ExponentVector.from_dense([g]) for g in values),
+            weights=(1,))
+        pack = R._pack
+        order = pack["order"]
+        memo = {}
+        for a in range(201):
+            got = R.member(ExponentVector.from_dense([a]))
+            status, counts, _ = pure.run_search(
+                pack["gens_int"], pack["weights_int"], *pack["tables"], (a,),
+                R.lattice_weight((a,)), BIG, memo)
+            if status == NOT_MEMBER:
+                assert got is None, a
+            else:
+                assert got is not None and got.as_dict() == {
+                    order[j]: c for j, c in enumerate(counts) if c}, a
 
 
 class TestSuffixTables:

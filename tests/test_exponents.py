@@ -39,8 +39,8 @@ def brute_member(gens, weights, target, _memo=None):
     return rec(target)
 
 
-def lex_first_witness(S, target):
-    """First multiplicity vector in lex order, generators by decreasing
+def lex_largest_witness(S, target):
+    """Largest multiplicity vector in lex order, generators by decreasing
     weight (ties by index), or None. Independent of the search kernel."""
     order = sorted(range(len(S.gens)), key=lambda j: (-S.weight(S.gens[j]), j))
     gens = [S.gens[j] for j in order]
@@ -53,13 +53,10 @@ def lex_first_witness(S, target):
         w = S.weight(res)
         if w < 0:
             return None
-        gw = S.weight(gens[i])
-        c = 0
-        while c * gw <= w:
+        for c in range(w // S.weight(gens[i]), -1, -1):
             got = rec(res - gens[i].scale(c), i + 1, prefix + (c,))
             if got is not None:
                 return got
-            c += 1
         return None
 
     flat = rec(target, 0, ())
@@ -144,9 +141,12 @@ class TestMembershipOracle:
             for a in range(-3, 3):
                 for b in range(-3, 3):
                     t = EV([c, a, b])
-                    got = S.member(t) is not None
+                    got = S.member(t)
                     want = brute_member(S.gens, S.weights, t, memo)
-                    assert got == want, (c, a, b)
+                    assert (got is not None) == want, (c, a, b)
+                    # no interchangeable coordinates: exactly lex-largest
+                    assert (got and got.as_dict()) == lex_largest_witness(
+                        S, t), (c, a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
@@ -162,8 +162,10 @@ class TestMembershipOracle:
             return
         S = presentation(*kept, weights=weights)
         t = EV(tvals)
-        got = S.member(t) is not None
-        assert got == brute_member(S.gens, S.weights, t)
+        got = S.member(t)
+        assert (got is not None) == brute_member(S.gens, S.weights, t)
+        # unequal weights, so no interchangeable coordinates
+        assert (got and got.as_dict()) == lex_largest_witness(S, t)
 
     def test_witness_resums(self):
         S = presentation([1, 0], [1, -2], [0, 1],
@@ -173,14 +175,14 @@ class TestMembershipOracle:
         assert w is not None
         assert w.resum(S) == t
 
-    def test_lex_first_on_canonical_targets(self):
+    def test_lex_largest_on_canonical_targets(self):
         # no interchangeable coordinates here, so the engine contract is
-        # exactly lex-first over weight-sorted generators
+        # exactly lex-largest over weight-sorted generators
         S = presentation([2, 0], [1, 1], [1, 0], [0, 1],
                          weights=(Fraction(2), Fraction(1)))
         for t in ([4, 2], [3, 1], [5, 0], [2, 2]):
             got = S.member(EV(t))
-            want = lex_first_witness(S, EV(t))
+            want = lex_largest_witness(S, EV(t))
             assert got is not None and got.as_dict() == want
 
     def test_zero_target(self):
@@ -310,11 +312,12 @@ class TestRankOne:
         for num, want in table.items():
             assert (S2.member(EV([Fraction(num, 4)])) is not None) == want
 
-    def test_witness_is_lex_first(self):
+    def test_witness_is_lex_largest(self):
         S = presentation([3], [2])
         w = S.member(EV([12]))
-        # weight order puts 3 first; lex-first takes as few of it as possible
-        assert w.as_dict() == lex_first_witness(S, EV([12])) == {1: 6}
+        # weight order puts 3 first; lex-largest takes as many of it as
+        # possible
+        assert w.as_dict() == lex_largest_witness(S, EV([12])) == {0: 4}
 
     def test_witness_resums(self):
         S = presentation([Fraction(721, 720)], [Fraction(719, 720)])

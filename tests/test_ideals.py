@@ -269,7 +269,7 @@ def reference_minimalize(S, exps):
     for e in exps:
         if e not in weighted and not S.is_killed(e):
             weighted[e] = S.weight(e)
-    order = sorted(weighted, key=lambda e: (weighted[e], e.lex_key()))
+    order = sorted(weighted, key=lambda e: (weighted[e], e.dense()))
     kept = []
     for cand in order:
         if not any(S.member(cand - k) is not None for k in kept
