@@ -21,7 +21,8 @@ import pytest
 
 from sftkit import _search_py as pure
 from sftkit import exponents
-from sftkit.budget import SearchContext
+from sftkit.budget import Budgets, SearchContext
+from sftkit.errors import SearchBudgetExceeded
 from sftkit.exponents import ExponentVector, MonoidPresentation
 
 FOUND = pure.FOUND
@@ -225,8 +226,53 @@ FRACTION_TARGETS = [(a, b, c) for a in range(4)
                     for b in range(-4, 3) for c in range(-4, 3)]
 
 
+def random_presentation(rng):
+    """A random integer presentation, its grading and a random target."""
+    dim = rng.randint(1, 3)
+    lam = tuple(rng.randint(1, 3) for _ in range(dim))
+    dense = set()
+    for _ in range(rng.randint(1, 6)):
+        g = tuple(rng.randint(-3, 4) for _ in range(dim))
+        if sum(l * e for l, e in zip(lam, g)) > 0:
+            dense.add(g)
+    if not dense:
+        dense.add(tuple(1 if k == 0 else 0 for k in range(dim)))
+    S = MonoidPresentation(
+        dim=dim, gens=tuple(ExponentVector.from_dense(g) for g in sorted(dense)),
+        weights=lam)
+    target = tuple(rng.randint(-6, 10) for _ in range(dim))
+    return S, sorted(dense), lam, target
+
+
 class TestDecisionRoute:
     """member() and the yes/no route lattice_contains on shared contexts."""
+
+    def test_random_instances_agree(self):
+        rng = random.Random(20260819)
+        for trial in range(400):
+            S, dense, lam, target = random_presentation(rng)
+            weights = [sum(l * e for l, e in zip(lam, g)) for g in dense]
+            wtarget = sum(l * e for l, e in zip(lam, target))
+            where = (dense, lam, target)
+            full_ctx = SearchContext()
+            full = S.lattice_contains(target, full_ctx)
+            assert full == brute_reachable(dense, weights, target, wtarget), where
+            assert full == (S.member(ExponentVector.from_dense(target),
+                                     SearchContext()) is not None), where
+            full_memo = S._ctx_tables(full_ctx).get("memo", {})
+            allowance = rng.randint(0, 30) if trial % 5 == 0 else BIG
+            ctx = SearchContext(Budgets(search_nodes=allowance))
+            if full_ctx.nodes_used > allowance:
+                # aborted; the frontier memoized nothing the complete
+                # search would not have
+                with pytest.raises(SearchBudgetExceeded):
+                    S.lattice_contains(target, ctx)
+                memo = S._ctx_tables(ctx).get("memo", {})
+                assert all(full_memo[k] == v for k, v in memo.items()), where
+            else:
+                assert S.lattice_contains(target, ctx) == full, where
+                assert ctx.nodes_used == full_ctx.nodes_used, where
+                assert S._ctx_tables(ctx).get("memo", {}) == full_memo, where
 
     def test_decisions_leave_member_witnesses_alone(self):
         # one memo serves every query, so a witness cannot depend on what
