@@ -9,9 +9,18 @@ Three coefficient regimes:
     folds the coefficient's 2-valuation into the exponent,
   * the integer-coefficient model Z + 2xZ[x] (its own membership predicates).
 
-Elements are immutable term maps with a canonical term order, so equality is
-structural. Every ring also handles the degree-1 polynomial extension by one
-extra variable t, tracked as a plain integer degree on each term.
+Elements are immutable term maps kept in a fixed term order. In prime
+characteristic and in the integer model the stored form is canonical, so
+equality is structural there. The dyadic form is not canonical (2 = x makes
+3*x^0 and x^0 + x^1 one element with two term sets; see DyadicRing), so
+there equal stored terms imply equal elements but not the converse. Every
+ring also handles the degree-1 polynomial extension by one extra variable t,
+tracked as a plain integer degree on each term.
+
+A product is one pass over the term pairs: in prime characteristic and in
+the integer model the coefficient products accumulate straight into the dict
+that normalization starts from; the dyadic ring normalizes the pair list in
+f-by-g order, since its normal form depends on input order.
 
 Over the two monoid rings a stored term key is (lattice point, t-degree): the
 point is the exponent times the monoid's denominator bound, the integer
@@ -29,11 +38,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .budget import SearchContext
 from .errors import (DegreeBudgetExceeded, PreconditionViolated,
@@ -45,12 +55,7 @@ from .ideals import MonomialIdeal, ideal_lattice_member
 def _v2_int(n: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero")
-    n = abs(n)
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+    return (n & -n).bit_length() - 1
 
 
 def _v2_frac(q: Fraction) -> int:
@@ -97,10 +102,6 @@ class _MonoidRing:
         from_lattice = self.monoid.from_lattice
         return tuple(((from_lattice(v), td), c) for (v, td), c in stored)
 
-    def term_mul(self, k1, c1, k2, c2):
-        (v1, t1), (v2, t2) = k1, k2
-        return (tuple(map(add, v1, v2)), t1 + t2), c1 * c2
-
 
 @dataclass(frozen=True)
 class CharPMonoidRing(_MonoidRing):
@@ -116,6 +117,24 @@ class CharPMonoidRing(_MonoidRing):
             c %= p
             if c:
                 acc[k] = acc.get(k, 0) + c
+        return self._finish(acc, ctx)
+
+    def multiply(self, fs, gs, ctx: Optional[SearchContext] = None):
+        """normalize() of the pairwise term products, in one pass."""
+        p = self.p
+        acc: dict[tuple[tuple, int], int] = {}
+        for (v1, t1), c1 in fs:
+            for (v2, t2), c2 in gs:
+                c = c1 * c2 % p
+                if c:
+                    k = (tuple(map(add, v1, v2)), t1 + t2)
+                    acc[k] = acc.get(k, 0) + c
+        return self._finish(acc, ctx)
+
+    def _finish(self, acc: dict, ctx: Optional[SearchContext]):
+        """Reduce, drop killed monomials and sort the accumulated terms;
+        kill checks run in the dict's insertion order."""
+        p = self.p
         S = self.monoid
         weight = S.lattice_weight
         killable = S.kill is not None
@@ -144,9 +163,22 @@ class DyadicRing(_MonoidRing):
 
     The weight-1 generator is the scalar 2, so c * x^e with c of 2-valuation
     v equals (c / 2^v) * x^(e+v). Normal form keeps every coefficient a
-    2-adic unit; that makes term sets canonical and ideal membership
-    termwise.
+    2-adic unit at distinct exponents.
+
+    That form is not canonical: 3*x^0 and x^0 + x^1 are the same element
+    (3 = 1 + 2 = 1 + x), and normalize() folds like terms in the order it
+    pops them, so reordering its input can give a different term set for
+    the same element. Ideal membership is still termwise and sound: with
+    distinct exponents and unit coefficients the lowest term of a sum
+    cannot cancel, so no nonzero form is 0 and a monomial ideal contains
+    the element exactly when it contains every term.
     """
+
+    def multiply(self, fs, gs, ctx: Optional[SearchContext] = None):
+        """normalize() of the pairwise term products, in f-by-g order."""
+        return self.normalize([((tuple(map(add, v1, v2)), t1 + t2), c1 * c2)
+                               for (v1, t1), c1 in fs
+                               for (v2, t2), c2 in gs], ctx)
 
     def normalize(self, terms, ctx: Optional[SearchContext] = None):
         s0 = self.monoid.denominator_bound
@@ -192,6 +224,19 @@ class Int2xRing:
         for k, c in terms:
             if c:
                 acc[k] = acc.get(k, 0) + c
+        return self._finish(acc)
+
+    def multiply(self, fs, gs, ctx: Optional[SearchContext] = None):
+        """normalize() of the pairwise term products, in one pass."""
+        acc: dict[tuple[int, int], int] = {}
+        for (x1, t1), c1 in fs:
+            for (x2, t2), c2 in gs:
+                k = (x1 + x2, t1 + t2)
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return self._finish(acc)
+
+    @staticmethod
+    def _finish(acc: dict):
         out = [(k, c) for k, c in acc.items() if c]
         for (xd, td), c in out:
             if xd > 0 and c % 2:
@@ -200,9 +245,6 @@ class Int2xRing:
                     f"coefficient {c} at x^{xd} t^{td}")
         out.sort(key=lambda t: (t[0][1], t[0][0]))
         return tuple(out)
-
-    def term_mul(self, k1, c1, k2, c2):
-        return (k1[0] + k2[0], k1[1] + k2[1]), c1 * c2
 
 
 Ring = Union[CharPMonoidRing, DyadicRing, Int2xRing]
@@ -240,11 +282,7 @@ class PolyElement:
     def max_xdeg(self) -> int:
         if not isinstance(self.ring, Int2xRing):
             raise UnsupportedIdeal("x-degree only exists in the integer model")
-        return self._max_xdeg
-
-    @cached_property
-    def _max_xdeg(self) -> int:
-        return max((k[0] for k, _ in self.stored), default=0)
+        return _max_xdeg(self.stored)
 
     def __repr__(self):
         if self.is_zero:
@@ -255,6 +293,19 @@ class PolyElement:
         if len(self.terms) > 6:
             bits.append("...")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _max_xdeg(stored) -> int:
+    return max([k[0] for k, _ in stored], default=0)
+
+
+def _check_degree_cap(cap: int, tdeg: int, xdeg: int = 0) -> None:
+    """The degree budget of one product: its t-degree, then (integer model)
+    its x-degree."""
+    if tdeg > cap:
+        raise DegreeBudgetExceeded(f"t-degree {tdeg} exceeds cap {cap}")
+    if xdeg > cap:
+        raise DegreeBudgetExceeded(f"x-degree {xdeg} exceeds cap {cap}")
 
 
 def _element(ring: Ring, stored, ctx: Optional[SearchContext]) -> PolyElement:
@@ -282,22 +333,16 @@ def element_multiply(f: PolyElement, g: PolyElement,
                      ctx: Optional[SearchContext] = None) -> PolyElement:
     """Exact product in the quotient; killed monomials vanish, coefficients
     reduce per the ring's regime."""
-    if f.ring != g.ring:
+    ring = f.ring
+    if ring is not g.ring and ring != g.ring:
         raise PreconditionViolated("operands share a model")
     if ctx is None:
         ctx = SearchContext()
-    cap = ctx.budgets.degree_cap
-    tdeg = f.max_tdeg() + g.max_tdeg()
-    if tdeg > cap:
-        raise DegreeBudgetExceeded(f"t-degree {tdeg} exceeds cap {cap}")
-    ring = f.ring
-    if isinstance(ring, Int2xRing):
-        xdeg = f.max_xdeg() + g.max_xdeg()
-        if xdeg > cap:
-            raise DegreeBudgetExceeded(f"x-degree {xdeg} exceeds cap {cap}")
-    mul = ring.term_mul
-    return _element(ring, [mul(k1, c1, k2, c2)
-                           for k1, c1 in f.stored for k2, c2 in g.stored], ctx)
+    fs, gs = f.stored, g.stored
+    _check_degree_cap(
+        ctx.budgets.degree_cap, f.max_tdeg() + g.max_tdeg(),
+        _max_xdeg(fs) + _max_xdeg(gs) if isinstance(ring, Int2xRing) else 0)
+    return PolyElement(ring, ring.multiply(fs, gs, ctx))
 
 
 def element_power(f: PolyElement, n: int,
@@ -318,17 +363,45 @@ def element_scale(f: PolyElement, c, ctx: Optional[SearchContext] = None) -> Pol
 # ideal handles for the integer model
 
 
+def _prefix_products(combos, factors, multiply, ctx) -> Iterator[tuple]:
+    """(combo, product of factors[j] for j in combo) for index tuples in
+    lexicographic order. Each proper prefix is multiplied once, at the first
+    combo that has it, so a product (and any budget error it raises) happens
+    at the same combo as a left-to-right product per combo would."""
+    head: tuple = ()  # the current combo[:-1]
+    stack: list = []  # stack[j]: product over head[:j + 1]
+    for combo in combos:
+        if combo[:-1] != head:
+            new = combo[:-1]
+            i = 0
+            for a, b in zip(new, head):
+                if a != b:
+                    break
+                i += 1
+            del stack[i:]
+            for j in new[i:]:
+                stack.append(multiply(stack[-1], factors[j], ctx) if stack
+                             else factors[j])
+            head = new
+        last = factors[combo[-1]]
+        yield combo, multiply(stack[-1], last, ctx) if stack else last
+
+
 @dataclass(frozen=True)
 class IntIdeal:
     """Membership predicate for the catalog ideals of Z + 2xZ[x].
 
     A coefficient at x^k needs 2-valuation >= v0 (k = 0), v_low (1 <= k <=
     thresh), v_high (k > thresh); relax_at, when set, lowers the requirement
-    at that single degree to v0 (used for quotient images). Generators are
-    kept for product enumeration.
+    at that single degree to v0 (used for quotient images).
 
     Carries the ideal protocol the verdict layer is written against (see
-    MonomialIdeal), on PolyElements.
+    MonomialIdeal) on monomial keys: every generator is one term c*x^j at
+    t-degree 0, and `generators` lists them as (j, c). A product of keys adds
+    degrees and multiplies coefficients; `contains` is the 2-valuation
+    predicate on one key, and on each term of a PolyElement (the form
+    element_in_ideal passes). `gens` stays the PolyElement view that reports,
+    repr, sampling and generator_elements read.
     """
 
     v0: int
@@ -339,6 +412,13 @@ class IntIdeal:
     relax_at: Optional[int] = None
     label: str = ""
 
+    def __post_init__(self):
+        for g in self.gens:
+            if len(g.stored) != 1 or g.stored[0][0][1] != 0:
+                raise PreconditionViolated(
+                    "integer-model ideal generators are monomials c*x^j",
+                    f"got {g!r}")
+
     def required(self, xdeg: int) -> int:
         if xdeg == 0:
             return self.v0
@@ -346,50 +426,55 @@ class IntIdeal:
             return self.v0
         return self.v_low if xdeg <= self.thresh else self.v_high
 
-    @property
-    def generators(self) -> tuple[PolyElement, ...]:
-        return self.gens
+    @cached_property
+    def generators(self) -> tuple[tuple[int, int], ...]:
+        """The generators as (x-degree, coefficient) keys, in gens order."""
+        return tuple((k[0], c) for g in self.gens for k, c in g.stored)
 
-    def contains(self, f: PolyElement, ctx: Optional[SearchContext] = None) -> bool:
-        for (xd, _td), c in f.stored:
-            if _v2_int(c) < self.required(xd):
-                return False
-        return True
+    def contains(self, x, ctx: Optional[SearchContext] = None) -> bool:
+        """x is a key (x-degree, coefficient); a PolyElement is inside when
+        every one of its terms is."""
+        if isinstance(x, PolyElement):
+            return all(self.contains((xd, c)) for (xd, _td), c in x.stored)
+        xd, c = x
+        return _v2_int(c) >= self.required(xd)
 
-    def multiply(self, f: PolyElement, g: PolyElement,
-                 ctx: Optional[SearchContext] = None) -> PolyElement:
-        return element_multiply(f, g, ctx)
+    def multiply(self, x: tuple[int, int], y: tuple[int, int],
+                 ctx: Optional[SearchContext] = None) -> tuple[int, int]:
+        xdeg = x[0] + y[0]
+        _check_degree_cap((ctx or SearchContext()).budgets.degree_cap, 0, xdeg)
+        return xdeg, x[1] * y[1]
 
     def products(self, n: int, ctx: SearchContext):
-        """(factors, product) for every n-fold product of generators,
-        multiset-enumerated; charged in full when iteration starts."""
-        gens = self.gens
-        count = math.comb(len(gens) + n - 1, n)
+        """(factors, key) for every n-fold product of generators,
+        multiset-enumerated in lexicographic order, each shared prefix
+        multiplied once; charged in full when iteration starts."""
+        keys = self.generators
+        count = math.comb(len(keys) + n - 1, n)
         ctx.precheck_multisets(count)
         ctx.charge_multisets(count)
-        for combo in itertools.combinations_with_replacement(range(len(gens)), n):
-            prod = gens[combo[0]]
-            for j in combo[1:]:
-                prod = element_multiply(prod, gens[j], ctx)
-            yield combo, prod
+        yield from _prefix_products(
+            itertools.combinations_with_replacement(range(len(keys)), n),
+            keys, self.multiply, ctx)
 
     def powers(self, mmax: int, ctx: SearchContext):
-        """(m, products(m)) for m = 1..mmax; each enumerated on its own."""
+        """(m, products(m)) for m = 1..mmax; each enumerated from the
+        generators, not from the previous power."""
         for m in range(1, mmax + 1):
             yield m, self.products(m, ctx)
 
-    def radical_index(self, g: PolyElement, kmax: int,
+    def radical_index(self, x: tuple[int, int], kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:
-        """Least k <= kmax with g^k in the ideal, or None."""
-        cur = g
+        """Least k <= kmax with x^k in the ideal, or None."""
+        cur = x
         for k in range(1, kmax + 1):
             if self.contains(cur):
                 return k
             if k < kmax:
-                cur = element_multiply(cur, g, ctx)
+                cur = self.multiply(cur, x, ctx)
         return None
 
-    def witness(self, f: PolyElement) -> dict:
+    def witness(self, x) -> dict:
         return {}
 
     def generator_elements(self, ring) -> list[PolyElement]:
@@ -482,9 +567,7 @@ def random_element(ring: Ring, ideal, degree_bound: int, seed: int,
     construction. Resamples a few times rather than return zero (truncation
     can kill everything) unless allow_zero is set.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for _attempt in range(24):
         f = _sample_once(ring, ideal, degree_bound, rng, ctx)
         if allow_zero or not f.is_zero:
@@ -493,18 +576,26 @@ def random_element(ring: Ring, ideal, degree_bound: int, seed: int,
 
 
 def _sample_once(ring, ideal, degree_bound, rng, ctx):
+    """One draw: every summand's terms, normalized once at the end (the
+    dyadic ring once per summand)."""
     nsum = rng.randint(1, 3)
     terms = []
     if isinstance(ideal, IntIdeal):
+        if not isinstance(ring, Int2xRing):
+            raise UnsupportedIdeal("integer-model ideal applied to a monoid ring")
+        cap = (ctx or SearchContext()).budgets.degree_cap
+        keys = ideal.generators
         for _ in range(nsum):
-            g = ideal.gens[rng.randrange(len(ideal.gens))]
+            gx, gc = keys[rng.randrange(len(keys))]
             a = rng.randint(-3, 3)
             xk = rng.randint(0, min(3, max(0, degree_bound)))
             b = rng.randint(-2, 2)
             td = rng.randint(0, degree_bound)
-            # multiplier a + 2b x^xk, an element of the ring
-            mult = make_element(ring, [((0, td), a), ((max(xk, 1), 0), 2 * b)], ctx)
-            terms.append(element_multiply(g, mult, ctx))
+            # times the multiplier a t^td + 2b x^max(xk, 1), an element of the
+            # ring; a zero part of it raises neither degree
+            xk = max(xk, 1)
+            _check_degree_cap(cap, td if a else 0, gx + xk if b else gx)
+            terms += [((gx, td), gc * a), ((gx + xk, 0), 2 * b * gc)]
     else:
         _check_frame(ring.monoid, ideal)
         gens = ideal.generators
@@ -521,11 +612,15 @@ def _sample_once(ring, ideal, degree_bound, rng, ctx):
                 coeff = rng.randint(1, ring.p - 1) if ring.p > 2 else 1
             else:
                 coeff = rng.choice([1, 3, -1, 5])
-            terms.append(_element(ring, [((v, td), coeff)], ctx))
-    out = zero_element(ring)
-    for t in terms:
-        out = element_add(out, t, ctx)
-    return out
+            terms.append(((v, td), coeff))
+        if isinstance(ring, DyadicRing):
+            # its normal form depends on input order, so add the summands
+            # one at a time, as element_add would
+            stored = ()
+            for t in terms:
+                stored = ring.normalize(stored + (t,), ctx)
+            return PolyElement(ring, stored)
+    return _element(ring, terms, ctx)
 
 
 def alive_ideal_monomials(ring: CharPMonoidRing, I: MonomialIdeal,

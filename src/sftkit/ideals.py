@@ -16,11 +16,13 @@ Each power step sums the previous power's generators with the base's: as a
 pair loop, or in rank 1 as a bitset sumset with the same result.
 
 MonomialIdeal also carries the ideal protocol the verdict layer is written
-against (the integer model's IntIdeal carries the same methods): its
-elements are lattice points, `generators` lists them, `contains`,
-`multiply`, `power`, `products`, `powers` and `radical_index` work on them,
-`witness` names one in a report and `generator_elements` turns the
-generators into ring elements.
+against: its elements are lattice points, `generators` lists them,
+`contains`, `multiply`, `power`, `products`, `powers` and `radical_index`
+work on them, `witness` names one in a report and `generator_elements` turns
+the generators into ring elements. The integer model's IntIdeal carries the
+same methods on monomial keys (x-degree, coefficient); its `products`
+enumerates multisets of generators in lexicographic order and multiplies
+each shared prefix once.
 """
 
 from __future__ import annotations

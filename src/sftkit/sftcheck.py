@@ -4,14 +4,15 @@ together.
 
 Every check is written once against the ideal protocol that both ideal
 kinds carry: MonomialIdeal (elements are lattice points) and the integer
-model's IntIdeal (elements are PolyElements). An ideal lists its
-`generators` and `gens` (the same generators as the user sees them), and
-answers `contains(x, ctx)`, `multiply(x, y, ctx)`, `power(m, ctx)`,
-`products(n, ctx)` and `powers(mmax, ctx)` (the (factors, x) generators of
-I^n), `radical_index(x, kmax, ctx)` (least k with x^k inside, or None),
-`witness(x)` (the fields naming x in a report) and
-`generator_elements(ring)`. Only facts about the ring, not the ideal, still
-branch on the model: the quotient kernel and the exhaustive certificate.
+model's IntIdeal (elements are monomial keys (x-degree, coefficient)). An
+ideal lists its `generators` and `gens` (the same generators as the user
+sees them), and answers `contains(x, ctx)`, `multiply(x, y, ctx)`,
+`power(m, ctx)`, `products(n, ctx)` and `powers(mmax, ctx)` (the
+(factors, x) generators of I^n), `radical_index(x, kmax, ctx)` (least k
+with x^k inside, or None), `witness(x)` (the fields naming x in a report)
+and `generator_elements(ring)`. Only facts about the ring, not the ideal,
+still branch on the model: the quotient kernel and the exhaustive
+certificate.
 
 Every operation returns a VerificationReport. Soundness rule: running out of
 budget is reported as inconclusive_at_truncation, never as a wrong verdict;
@@ -507,6 +508,8 @@ def check_extension_vsft(model: RingModel, data: SftData, degree: int,
     """
     if degree < 0:
         raise PreconditionViolated("degree >= 0", f"got {degree}")
+    if samples < 0:
+        raise PreconditionViolated("samples >= 0", f"got {samples}")
     if degree == 0:
         rep = verify_vsft(model, data, ctx, claim=claim)
         rep.details["note"] = "degree 0 reduces to the base containment"
@@ -557,6 +560,8 @@ def check_sft_extension_exponent(model: RingModel, data: SftData,
     """Sampled check that N(N-1) powers land in B after extension by t,
     recording the least exponent that covered all samples (exploratory, not
     a tightness proof)."""
+    if samples < 1:
+        raise PreconditionViolated("samples >= 1", f"got {samples}")
     N = data.n
     E = N * (N - 1) if N > 1 else 1
     least_all = 1

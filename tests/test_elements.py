@@ -8,6 +8,8 @@ for the integer model.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from sftkit.elements import (
     monomial_element,
     random_element,
     zero_element,
+    _prefix_products,
 )
 from sftkit.exponents import ExponentVector, MonoidPresentation
 from sftkit.files import jsonify
@@ -437,6 +440,31 @@ def _pairs(dim: int, coeff):
     return st.lists(st.tuples(key, coeff), max_size=5)
 
 
+def _oracle_int(pairs):
+    """{(xdeg, tdeg): coeff} in term order, or None when a positive x-power
+    keeps an odd coefficient (not an element of Z + 2xZ[x])."""
+    acc: dict = {}
+    for k, c in pairs:
+        acc[k] = acc.get(k, 0) + c
+    alive = {k: c for k, c in acc.items() if c}
+    if any(xd > 0 and c % 2 for (xd, _td), c in alive.items()):
+        return None
+    return dict(sorted(alive.items(), key=lambda kc: (kc[0][1], kc[0][0])))
+
+
+def _assert_int_matches(f, oracle: dict):
+    terms = tuple(oracle.items())
+    assert f.terms == f.stored == terms
+    body = " + ".join(f"{c}*{k}" for k, c in terms[:6])
+    body += " + ..." if len(terms) > 6 else ""
+    assert repr(f) == (f"Poly({body})" if terms else "Poly(0)")
+    assert jsonify(f) == {"terms": [[xd, td, c] for (xd, td), c in terms]}
+
+
+# mostly even coefficients, so most drawn lists are ring elements
+_INT_PAIRS = st.lists(st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 2)),
+                                st.sampled_from([-6, -4, -2, 2, 4, 8, -3, 1, 5])),
+                      max_size=5)
 _CHARP_COEFF = st.integers(-3, 6)
 _DYADIC_COEFF = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3]))
 
@@ -457,6 +485,28 @@ class TestLatticeTermsMatchOracle:
            s=st.sampled_from([1, -1, 2, 3, 6, Fraction(4, 3)]))
     def test_dyadic_refolding(self, f, g, s):
         self._check(DyadicRing(HALF_LINE), f, g, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=_INT_PAIRS, g=_INT_PAIRS, s=st.sampled_from([1, -1, 2, 3, -6]))
+    def test_int(self, f, g, s):
+        R = Int2xRing()
+        of, og = _oracle_int(f), _oracle_int(g)
+        for pairs, want in ((f, of), (g, og)):
+            if want is None:
+                with pytest.raises(PreconditionViolated):
+                    make_element(R, pairs)
+        if of is None or og is None:
+            return
+        fe, ge = make_element(R, f), make_element(R, g)
+        _assert_int_matches(fe, of)
+        _assert_int_matches(ge, og)
+        _assert_int_matches(element_add(fe, ge),
+                            _oracle_int(list(of.items()) + list(og.items())))
+        _assert_int_matches(element_multiply(fe, ge), _oracle_int([
+            ((x1 + x2, t1 + t2), c1 * c2)
+            for (x1, t1), c1 in of.items() for (x2, t2), c2 in og.items()]))
+        _assert_int_matches(element_scale(fe, s),
+                            _oracle_int([(k, c * s) for k, c in of.items()]))
 
     @staticmethod
     def _check(R, fp, gp, s):
@@ -499,3 +549,172 @@ class TestSamplesArePinned:
         m = CATALOG[model]
         f = random_element(m.ring, m.ideal(ideal), 2, seed)
         assert repr(f) == self.PINNED[model, ideal, seed]
+
+
+# ---------------------------------------------------------------------------
+# the integer model's ideal protocol on monomial keys
+
+
+def _key(f):
+    """The (xdeg, coeff) key of a one-term element at t-degree 0."""
+    ((xd, td), c), = f.stored
+    assert td == 0
+    return xd, c
+
+
+def _element_products(I, n, ctx):
+    """Left-to-right element_multiply products of the gens, per combo."""
+    for combo in itertools.combinations_with_replacement(range(len(I.gens)), n):
+        prod = I.gens[combo[0]]
+        for j in combo[1:]:
+            prod = element_multiply(prod, I.gens[j], ctx)
+        yield combo, prod
+
+
+class TestIntIdealKeys:
+    IDEALS = {
+        "full3": int_ideal_full(3),
+        "two^2": int_ideal_two().power(2),
+        "full3-relaxed": dataclasses.replace(int_ideal_full(3), relax_at=5),
+        "two-relaxed": dataclasses.replace(int_ideal_two(), relax_at=2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IDEALS))
+    def test_generators_are_the_gens_keys(self, name):
+        I = self.IDEALS[name]
+        assert I.generators == tuple(map(_key, I.gens))
+
+    @pytest.mark.parametrize("name", sorted(IDEALS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_products_match_element_products(self, name, n):
+        I = self.IDEALS[name]
+        ctx, ref_ctx = SearchContext(), SearchContext()
+        got = list(I.products(n, ctx))
+        want = [(combo, _key(f)) for combo, f in _element_products(I, n, ref_ctx)]
+        assert got == want
+        assert ctx.multisets_used == len(want)
+        for combo, key in got:
+            f = monomial_element(Int2xRing(), key[0], key[1])
+            for J in self.IDEALS.values():
+                assert J.contains(key) == element_in_ideal(f, J)
+
+    @pytest.mark.parametrize("name", sorted(IDEALS))
+    def test_radical_index_matches_element_powers(self, name):
+        B = self.IDEALS[name]
+        for J in self.IDEALS.values():
+            for key, g in zip(J.generators, J.gens):
+                want, cur = None, g
+                for k in range(1, 5):
+                    if element_in_ideal(cur, B):
+                        want = k
+                        break
+                    cur = element_multiply(cur, g)
+                assert B.radical_index(key, 4) == want
+
+    def test_element_in_ideal_is_the_key_predicate_termwise(self):
+        R = Int2xRing()
+        f = make_element(R, [((0, 0), 2), ((2, 1), 4), ((5, 0), 2)])
+        for I in self.IDEALS.values():
+            assert element_in_ideal(f, I) == all(
+                I.contains((xd, c)) for (xd, _td), c in f.stored)
+
+    def test_non_monomial_generator_refused(self):
+        R = Int2xRing()
+        for bad in (make_element(R, [((0, 0), 2), ((1, 0), 2)]),
+                    make_element(R, [((1, 1), 2)]),
+                    zero_element(R)):
+            with pytest.raises(PreconditionViolated) as ei:
+                IntIdeal(1, 1, 2, 1, gens=(bad,))
+            assert "monomials" in ei.value.clause
+
+    # the first DegreeBudgetExceeded: (ideal, n, combos yielded before it,
+    # message), as the element-product route raises it
+    CAP16 = [
+        (int_ideal_full(10), 2, 59, "x-degree 17 exceeds cap 16"),
+        (int_ideal_full(10), 3, 59, "x-degree 17 exceeds cap 16"),
+        (int_ideal_full(3).power(3), 2, 53, "x-degree 17 exceeds cap 16"),
+        (int_ideal_full(3).power(3), 3, 53, "x-degree 17 exceeds cap 16"),
+    ]
+
+    @pytest.mark.parametrize("I,n,before,message", CAP16)
+    def test_degree_cap_raises_at_the_same_product(self, I, n, before, message):
+        for products in (I.products, lambda n, ctx: (
+                (c, _key(f)) for c, f in _element_products(I, n, ctx))):
+            ctx = SearchContext(Budgets(degree_cap=16))
+            seen = 0
+            with pytest.raises(DegreeBudgetExceeded) as ei:
+                for _ in products(n, ctx):
+                    seen += 1
+            assert (seen, str(ei.value)) == (before, message)
+
+    def test_degree_cap_in_radical_index(self):
+        g = int_ideal_full(10).generators[-1]
+        with pytest.raises(DegreeBudgetExceeded) as ei:
+            int_ideal_two().radical_index(g, 4, SearchContext(Budgets(degree_cap=16)))
+        assert str(ei.value) == "x-degree 20 exceeds cap 16"
+
+
+class TestPrefixProducts:
+    @pytest.mark.parametrize("combos", [
+        lambda: itertools.combinations(range(6), 3),
+        lambda: itertools.combinations_with_replacement(range(4), 4),
+        lambda: iter([]),
+    ])
+    def test_each_prefix_multiplied_once(self, combos):
+        calls = []
+
+        def multiply(x, y, ctx):
+            calls.append((x, y))
+            return x + y
+
+        factors = ("a", "b", "c", "d", "e", "f")
+        got = list(_prefix_products(combos(), factors, multiply, None))
+        assert got == [(c, "".join(factors[j] for j in c)) for c in combos()]
+        prefixes = {c[:j] for c in combos() for j in range(2, len(c) + 1)}
+        assert len(calls) == len(prefixes)
+
+
+# ---------------------------------------------------------------------------
+# the dyadic normal form is not canonical, but membership and zero are
+
+DYADIC = CATALOG["dyadic"]
+_DYADIC_POINTS = sorted({g + h for g in DYADIC.monoid.gens
+                         for h in DYADIC.monoid.gens}
+                        | set(DYADIC.monoid.gens), key=lambda e: e.dense())
+
+
+class TestDyadicNormalForm:
+    R = DyadicRing(HALF_LINE)
+
+    def test_same_element_two_term_sets(self):
+        # 3 = 1 + 2 = 1 + x
+        a = make_element(self.R, [((ev(0), 0), 3)])
+        b = make_element(self.R, [((ev(0), 0), 1), ((ev(1), 0), 1)])
+        assert a != b
+        assert element_add(a, element_scale(b, -1)).is_zero
+
+    def test_normal_form_depends_on_input_order(self):
+        # 1 + 1 + 3 = 5: read from the end, 3 + 1 = 4 = x^2 comes first and
+        # gives 1 + x^2; reversed, 1 + 1 = x does and gives 3 + x
+        one = ExponentVector.zero(1)
+        pairs = [((one, 0), 1), ((one, 0), 1), ((one, 0), 3)]
+        fwd = make_element(self.R, pairs)
+        rev = make_element(self.R, pairs[::-1])
+        assert fwd.terms == (((one, 0), 1), ((ev(2), 0), 1))
+        assert rev.terms == (((one, 0), 3), ((ev(1), 0), 1))
+        assert element_add(fwd, element_scale(rev, -1)).is_zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(terms=st.lists(st.tuples(
+        st.tuples(st.sampled_from(_DYADIC_POINTS), st.integers(0, 2)),
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3]))),
+        max_size=6))
+    def test_membership_and_zero_ignore_term_order(self, terms):
+        R = DYADIC.ring
+        f = make_element(R, terms)
+        g = make_element(R, terms[::-1])
+        assert f.is_zero == g.is_zero
+        assert element_add(f, element_scale(g, -1)).is_zero
+        for name in ("max", "two"):
+            I = DYADIC.ideal(name)
+            assert element_in_ideal(f, I) == element_in_ideal(g, I)

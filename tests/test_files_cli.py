@@ -304,6 +304,12 @@ class TestVerifyCommand:
             "fr2-strongconv-vacuous",
             lambda r: r["params"].update(elements=["1"]),
             "params.elements: exponent strings need a rank-1 monoid model"),
+        "ext-exponent-without-samples": (
+            "fr3-ext-exponent", lambda r: r["params"].update(samples=0),
+            "precondition violated: samples >= 1 (got 0)"),
+        "ext-vsft-negative-samples": (
+            "int-ext-vsft", lambda r: r["params"].update(samples=-3),
+            "precondition violated: samples >= 0 (got -3)"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
