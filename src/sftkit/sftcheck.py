@@ -33,11 +33,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from .arith import multinomial
 from .budget import SearchContext
-from .elements import (alive_ideal_monomials, element_add, element_in_ideal,
-                       element_multiply, element_power, element_scale,
-                       enumerate_ideal_elements, monomial_element,
-                       random_element)
+from .elements import (_prefix_products, alive_ideal_monomials, element_add,
+                       element_in_ideal, element_multiply, element_power,
+                       element_scale, enumerate_ideal_elements,
+                       monomial_element, random_element)
 from .errors import (BudgetExceeded, NoCertificateApplicable,
                      PreconditionViolated, TruncationTooSmall,
                      UnsupportedModel)
@@ -58,7 +59,15 @@ class Verdict(str, Enum):
 class Certificate:
     """Why a generator-level check covers all elements."""
 
-    kind: str  # FrobeniusCharP | DiagonalDominanceChar0 | ExhaustiveFinite | SampledOnly
+    # FrobeniusCharP | DiagonalDominanceChar0 | ExhaustiveFinite |
+    # MultinomialCover | SampledOnly. MultinomialCover (the extension
+    # exponent) says that at `exponent` e every multiset m of I's generators
+    # with |m| = e has multinomial(e, m) * prod g_i^m_i in B, so a^e ∈ B for
+    # every a in I·R[t]; `multisets` counts the multisets at e, and
+    # generator `lower_bound_generator` has no power in B by e - 1 (None
+    # when e = 1), so no smaller exponent works. Without such a generator,
+    # or past the multisets budget, that check samples and reports none.
+    kind: str
     params: tuple = ()
 
     @property
@@ -552,18 +561,91 @@ def check_extension_vsft(model: RingModel, data: SftData, degree: int,
                    samples=samples)
 
 
+def _cover_holds(model: RingModel, factors, B, e: int, ctx) -> bool:
+    """The multinomial cover at e: multinomial(e, m) * prod factors[i]^m_i
+    lies in B for every multiset m of factor indices with |m| = e.
+
+    The coefficient is taken in the ring through _scalar, so it reduces mod
+    p in char p and folds 2 = x in the dyadic ring; a multiset whose
+    coefficient is zero there is skipped before its product is formed.
+    Charges the level's multiset count up front.
+    """
+    count = math.comb(len(factors) + e - 1, e)
+    ctx.precheck_multisets(count)
+    ctx.charge_multisets(count)
+    scalars: dict = {}
+
+    def coefficient(combo):
+        c = multinomial(e, [len(list(run))
+                            for _, run in itertools.groupby(combo)])
+        if c not in scalars:
+            scalars[c] = _scalar(model, c)
+        return scalars[c]
+
+    kept = (combo for combo in itertools.combinations_with_replacement(
+        range(len(factors)), e) if not coefficient(combo).is_zero)
+    for combo, prod in _prefix_products(kept, factors, element_multiply, ctx):
+        term = element_multiply(coefficient(combo), prod, ctx)
+        if not element_in_ideal(term, B, ctx):
+            return False
+    return True
+
+
+def _multinomial_cover(model: RingModel, data: SftData, E: int,
+                       ctx) -> Optional[Certificate]:
+    """MultinomialCover for the least e <= E whose cover holds, when that e
+    is also a lower bound: e = 1, or some generator x has x^(e-1) outside B.
+    None when no level up to E holds, the least one is not witnessed, or a
+    budget runs out first (the meters keep what was charged)."""
+    I, B = data.I, data.B
+    try:
+        factors = I.generator_elements(model.ring)
+        e = next((e for e in range(1, E + 1)
+                  if _cover_holds(model, factors, B, e, ctx)), None)
+        if e is None:
+            return None
+        low = None
+        if e > 1:
+            low = next((i for i, x in enumerate(I.generators)
+                        if B.radical_index(x, e - 1, ctx) is None), None)
+            if low is None:
+                return None
+    except BudgetExceeded:
+        return None
+    return Certificate("MultinomialCover", (
+        ("exponent", e), ("lower_bound_generator", low),
+        ("multisets", math.comb(len(factors) + e - 1, e))))
+
+
 @_guarded
 def check_sft_extension_exponent(model: RingModel, data: SftData,
                                  degree: int, samples: int, seed: int = 0,
                                  ctx: Optional[SearchContext] = None,
                                  claim: str = "ext-sft-exponent") -> VerificationReport:
-    """Sampled check that N(N-1) powers land in B after extension by t,
-    recording the least exponent that covered all samples (exploratory, not
-    a tightness proof)."""
+    """Least exponent e <= N(N-1) with a^e ∈ B for every a in I after
+    extension by t.
+
+    Exact first: the least e whose multinomial cover holds (see
+    _cover_holds) covers every a in I·R[t], whatever its t-degree, because
+    membership in B·R[t] is termwise. When e = 1, or a generator's
+    (e-1)-th power lies outside B, e is the least exponent: verified with a
+    MultinomialCover certificate, exact, no seed. Otherwise (no cover by
+    N(N-1), the least cover has no generator witness, or the cover runs out
+    of budget) it samples: the least exponent that covered every sampled
+    element of t-degree <= degree, reported exact false and "on samples";
+    a sample with no power in B by N(N-1) refutes.
+    """
     if samples < 1:
         raise PreconditionViolated("samples >= 1", f"got {samples}")
     N = data.n
     E = N * (N - 1) if N > 1 else 1
+    degenerate = {"degenerate_index": True} if N == 1 else {}
+    cert = _multinomial_cover(model, data, E, ctx)
+    if cert is not None:
+        return _report(claim, Verdict.VERIFIED, model, ctx, exact=True,
+                       certificate=cert, exponent_bound=E,
+                       least_exponent=cert.param_map["exponent"],
+                       **degenerate)
     least_all = 1
     for i in range(samples):
         ctx.charge_samples()
@@ -584,12 +666,9 @@ def check_sft_extension_exponent(model: RingModel, data: SftData,
                                     "element": repr(gamma),
                                     "exponent_bound": E})
         least_all = max(least_all, least_i)
-    details = {"exponent_bound": E, "least_exponent": least_all,
-               "samples": samples, "qualifier": "on samples"}
-    if N == 1:
-        details["degenerate_index"] = True
     return _report(claim, Verdict.VERIFIED, model, ctx, exact=False,
-                   seed=seed, **details)
+                   seed=seed, exponent_bound=E, least_exponent=least_all,
+                   samples=samples, qualifier="on samples", **degenerate)
 
 
 @_guarded

@@ -351,14 +351,16 @@ def test_5_theorem_property_suites(announce):
     rep = run_claim(_claim("xv-ext-vsft"), models=MODELS, seed=0)
     expect(rep.verdict is Verdict.VERIFIED and rep.exact, "xv extension")
 
-    # index-squared exponent bound: 200 random elements, sixth power zero
+    # index-squared exponent bound: the exact multinomial cover at 3, then
+    # 200 random elements checked independently, sixth power zero
     m3 = MODELS["frobenius_p3"]
     d3 = build_sft_data(m3, m3.ideal("max"), m3.ideal("zero"), 3)
     rep = check_sft_extension_exponent(m3, d3, degree=3, samples=200, seed=0,
                                        ctx=SearchContext())
-    expect(rep.verdict is Verdict.VERIFIED
+    expect(rep.verdict is Verdict.VERIFIED and rep.exact
+           and rep.certificate.kind == "MultinomialCover"
+           and rep.certificate.param_map["exponent"] == 3
            and rep.details["exponent_bound"] == 6
-           and rep.details["samples"] == 200
            and rep.details["least_exponent"] == 3, "fr3 exponent bound")
     for i in range(200):
         g = random_element(m3.ring, m3.ideal("max"), 3, seed=10_000 + i)

@@ -17,12 +17,16 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sftkit
 
 from sftkit.budget import PROFILES, Budgets, SearchContext
-from sftkit.elements import (element_in_ideal, element_multiply,
-                             element_power, monomial_element, random_element)
+from sftkit.elements import (alive_ideal_monomials, element_add,
+                             element_in_ideal, element_multiply,
+                             element_power, enumerate_ideal_elements,
+                             monomial_element, random_element)
 from sftkit.errors import (PreconditionViolated, TruncationTooSmall,
                            UnsupportedModel)
 from sftkit.exponents import ExponentVector, scalar_multiple
@@ -52,7 +56,7 @@ from sftkit.sftcheck import (
     verify_sft_generators,
     verify_vsft,
 )
-from sftkit.sftcheck import _power_exponent
+from sftkit.sftcheck import _cover_holds, _power_exponent
 from sftkit.suite import claim_seed, exit_code, run_claim, run_suite
 
 
@@ -206,6 +210,18 @@ class TestCertificates:
             certify_sft_all_elements(m, data, SearchContext())
 
 
+def _sampled_exponent_case():
+    """frobenius_p3 with I = (x1, x2), B = (x1^2, x2^2), n = 3: the
+    multinomial cover holds at 3 (the mixed cubes carry 3 ≡ 0), but no
+    generator witnesses 2, since each generator's square lies in B."""
+    m = MODELS["frobenius_p3"]
+    S = m.monoid
+    x1, x2 = (ExponentVector.unit(S.dim, i, 1) for i in (0, 1))
+    I = monomial_ideal(S, (x1, x2), label="I")
+    B = monomial_ideal(S, (x1 + x1, x2 + x2), label="B")
+    return m, build_sft_data(m, I, B, 3)
+
+
 class TestBudgetPolicy:
     def test_starved_search_is_inconclusive_not_wrong(self):
         m = MODELS["fraction"]
@@ -225,8 +241,9 @@ class TestBudgetPolicy:
         assert rep.details["budget_exhausted"] == "CombinatorialBudgetExceeded"
 
     def test_sample_budget_is_enforced(self):
-        m = MODELS["frobenius_p3"]
-        data = build_sft_data(m, m.ideal("max"), m.ideal("zero"), 3)
+        # the multinomial cover holds at 3, but every generator has its
+        # square in B, so the check samples
+        m, data = _sampled_exponent_case()
         rep = check_sft_extension_exponent(
             m, data, degree=3, samples=5,
             ctx=SearchContext(Budgets(samples=3)))
@@ -498,8 +515,25 @@ class TestExtensionChecks:
                                            seed=claim_seed(0, "t"),
                                            ctx=SearchContext())
         assert rep.verdict is Verdict.VERIFIED
-        assert not rep.exact
-        assert rep.details["exponent_bound"] == 6
+        assert rep.exact
+        assert rep.certificate == Certificate("MultinomialCover", (
+            ("exponent", 3), ("lower_bound_generator", 0),
+            ("multisets", 35)))
+        assert rep.details == {"exponent_bound": 6, "least_exponent": 3}
+        assert rep.seed is None
+        # levels 1, 2 and 3 of five generators; nothing sampled
+        assert rep.budgets_used["multisets"] == 5 + 15 + 35
+        assert rep.budgets_used["samples"] == 0
+
+    def test_extension_exponent_samples_without_generator_witness(self):
+        m, data = _sampled_exponent_case()
+        rep = check_sft_extension_exponent(m, data, degree=2, samples=20,
+                                           ctx=SearchContext())
+        assert rep.verdict is Verdict.VERIFIED
+        assert not rep.exact and rep.certificate is None
+        assert rep.details["qualifier"] == "on samples"
+        assert rep.budgets_used["samples"] == 20
+        # (x1 + x2)^2 has the cross term 2*x1*x2 outside B, so 3 is right
         assert rep.details["least_exponent"] == 3
 
     def test_extension_exponent_degenerate_index_one(self):
@@ -510,6 +544,117 @@ class TestExtensionChecks:
         assert rep.verdict is Verdict.VERIFIED
         assert rep.details["degenerate_index"] is True
         assert rep.details["exponent_bound"] == 1
+
+
+# small finite char-p models whose ideals can be enumerated element by element
+COVER_MODELS = {(p, v): frobenius_quotient(p, v)
+                for p, v in ((2, 2), (2, 3), (3, 1), (3, 2))}
+
+
+def _cover_levels(m, I, B, emax: int) -> list:
+    """The e in 1..emax at which the multinomial cover of (I, B) holds."""
+    ctx = SearchContext()
+    factors = I.generator_elements(m.ring)
+    return [e for e in range(1, emax + 1)
+            if _cover_holds(m, factors, B, e, ctx)]
+
+
+def _least_exponents(m, monos, B, E: int) -> list:
+    """Per nonzero element z spanned by monos: the least k <= E with z^k in
+    B, or None when there is none."""
+    ctx = SearchContext()
+    out = []
+    for z in enumerate_ideal_elements(m.ring, monos, ctx):
+        if z.is_zero:
+            continue
+        cur, k = z, 1
+        while not element_in_ideal(cur, B, ctx):
+            if k == E:
+                k = None
+                break
+            cur, k = element_multiply(cur, z, ctx), k + 1
+        out.append(k)
+    return out
+
+
+class TestMultinomialCover:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(COVER_MODELS)), st.sampled_from((2, 3)),
+           st.data())
+    def test_cover_is_sound_against_exhaustive_enumeration(self, key, n,
+                                                           draw):
+        m = COVER_MODELS[key]
+        S, ring, ctx = m.monoid, m.ring, SearchContext()
+        alive = alive_ideal_monomials(ring, m.ideal("max"), ctx)
+        I = monomial_ideal(S, draw.draw(st.lists(
+            st.sampled_from(alive), min_size=1, max_size=3, unique=True)), ctx)
+        monos = alive_ideal_monomials(ring, I, ctx)
+        assume(ring.p ** len(monos) <= 1024)
+        B = monomial_ideal(S, draw.draw(st.lists(
+            st.sampled_from(monos), max_size=3, unique=True)), ctx)
+        E = n * (n - 1)
+        least = _least_exponents(m, monos, B, E)
+        for e in _cover_levels(m, I, B, E):
+            assert all(k is not None and k <= e for k in least), e
+        rep = check_sft_extension_exponent(m, build_sft_data(m, I, B, n),
+                                           degree=1, samples=1,
+                                           ctx=SearchContext())
+        if rep.certificate is not None:
+            assert rep.certificate.kind == "MultinomialCover"
+            e = rep.certificate.param_map["exponent"]
+            assert rep.exact and rep.details["least_exponent"] == e
+            assert max(least) == e
+
+    def test_frobenius_cover_is_the_characteristic(self):
+        # mixed coefficients of (sum a_i)^p are ≡ 0 and x_i^p is killed
+        for (p, _v), m in COVER_MODELS.items():
+            assert _cover_levels(m, m.ideal("max"), m.ideal("zero"), p) == [p]
+        # below p a mixed coefficient is a unit: on F_3 with I = (x1^2,
+        # x2^2), (x1^2 + x2^2)^2 = 2*x1^2*x2^2 is alive, so 2 is not covered
+        m = COVER_MODELS[3, 2]
+        S, zero = m.monoid, m.ideal("zero")
+        I = monomial_ideal(S, [ExponentVector.unit(2, i, 2) for i in (0, 1)])
+        assert _cover_levels(m, I, zero, 3) == [3]
+        z = element_add(*I.generator_elements(m.ring))
+        assert not element_in_ideal(element_power(z, 2), zero)
+
+    def test_even_coefficient_decides_in_char0(self):
+        # dyadic, where 2 = x: the cross term of (x^(3/2) + x^(9/4))^2 is
+        # 2*x^(15/4) = x^(19/4). B = (x^3, x^(19/4)) holds it, though not
+        # the bare x^(15/4); B = (x^3) holds neither.
+        m = MODELS["dyadic"]
+        S = m.monoid
+
+        def mono(q):
+            return ExponentVector.from_dense((Fraction(q),))
+
+        I = monomial_ideal(S, (mono("3/2"), mono("9/4")))
+        z = element_add(*I.generator_elements(m.ring))
+        covered = monomial_ideal(S, (mono(3), mono("19/4")))
+        for B, holds in ((covered, True),
+                         (monomial_ideal(S, (mono(3),)), False)):
+            assert _cover_levels(m, I, B, 2) == ([2] if holds else [])
+            assert element_in_ideal(element_power(z, 2), B) is holds
+        assert not ideal_member(covered, mono("15/4"))
+        rep = check_sft_extension_exponent(
+            m, build_sft_data(m, I, covered, 2), degree=1, samples=1,
+            ctx=SearchContext())
+        assert rep.certificate == Certificate("MultinomialCover", (
+            ("exponent", 2), ("lower_bound_generator", 0), ("multisets", 3)))
+        assert rep.exact and rep.details["least_exponent"] == 2
+
+    def test_cover_over_the_multiset_budget_falls_back_to_sampling(self):
+        # levels 1 and 2 fit in 30 multisets, level 3 (35 more) does not:
+        # the check samples instead of going inconclusive
+        m = MODELS["frobenius_p3"]
+        data = build_sft_data(m, m.ideal("max"), m.ideal("zero"), 3)
+        rep = check_sft_extension_exponent(
+            m, data, degree=3, samples=5,
+            ctx=SearchContext(Budgets(multisets=30)))
+        assert rep.verdict is Verdict.VERIFIED
+        assert not rep.exact and rep.certificate is None
+        assert rep.budgets_used == {"search_nodes": 0, "multisets": 20,
+                                    "samples": 5}
 
 
 class TestStrongConvergence:
