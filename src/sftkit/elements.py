@@ -457,11 +457,11 @@ class IntIdeal:
             itertools.combinations_with_replacement(range(len(keys)), n),
             keys, self.multiply, ctx)
 
-    def powers(self, mmax: int, ctx: SearchContext):
-        """(m, products(m)) for m = 1..mmax; each enumerated from the
-        generators, not from the previous power."""
-        for m in range(1, mmax + 1):
-            yield m, self.products(m, ctx)
+    def times_generators(self, points, ctx: SearchContext) -> list:
+        """The distinct products of the keys `points` with the generators,
+        in first-seen order."""
+        return list(dict.fromkeys(self.multiply(x, g, ctx) for x in points
+                                  for g in self.generators))
 
     def radical_index(self, x: tuple[int, int], kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:

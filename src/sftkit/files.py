@@ -204,10 +204,10 @@ def record_to_model(rec: dict, where: str = "model") -> RingModel:
         model = build_model(family, **params)
     except SftkitError as exc:
         raise SchemaError(f"{where}.params", str(exc)) from None
-    diff = _first_diff(model_to_record(model), rec, where)
-    if diff:
-        raise SchemaError(where,
-                          f"record disagrees with its family construction ({diff})")
+    rebuilt = model_to_record(model)
+    if rebuilt != rec:
+        raise SchemaError(where, "record disagrees with its family construction "
+                          f"({_first_diff(rebuilt, rec, where)})")
     return model
 
 

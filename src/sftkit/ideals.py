@@ -17,12 +17,14 @@ pair loop, or in rank 1 as a bitset sumset with the same result.
 
 MonomialIdeal also carries the ideal protocol the verdict layer is written
 against: its elements are lattice points, `generators` lists them,
-`contains`, `multiply`, `power`, `products`, `powers` and `radical_index`
-work on them, `witness` names one in a report and `generator_elements` turns
-the generators into ring elements. The integer model's IntIdeal carries the
-same methods on monomial keys (x-degree, coefficient); its `products`
-enumerates multisets of generators in lexicographic order and multiplies
-each shared prefix once.
+`contains`, `multiply`, `power`, `products`, `times_generators` and
+`radical_index` work on them, `witness` names one in a report and
+`generator_elements` turns the generators into ring elements. The integer
+model's IntIdeal carries the same methods on monomial keys (x-degree,
+coefficient); its `products` enumerates multisets of generators in
+lexicographic order and multiplies each shared prefix once.
+least_power_inside decides the least n with I^n ⊆ B on either kind through
+that protocol, without building a full power.
 """
 
 from __future__ import annotations
@@ -83,10 +85,13 @@ class MonomialIdeal:
         """(factors, point) for each generator of I^n; factors index gens."""
         return _factored(_power(self, n, ctx)[1])
 
-    def powers(self, mmax: int, ctx: SearchContext) -> Iterator[tuple[int, list]]:
-        """(m, products(m)) for m = 1..mmax, each power built on the last."""
-        for m, _, layer in _powers(self, mmax, ctx):
-            yield m, _factored(layer)
+    def times_generators(self, points, ctx: SearchContext) -> list:
+        """The distinct products of `points` with the generators, in
+        first-seen order of the (point, generator) pairs, the points taken
+        in ascending order in rank 1."""
+        if self.monoid.dim == 1:
+            points = sorted(points)
+        return list(_sums(self.monoid, points, self.generators))
 
     def radical_index(self, v: tuple, kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:
@@ -274,6 +279,15 @@ def _rank1_sums(layer: list, base: tuple) -> dict:
     return first
 
 
+def _sums(S: MonoidPresentation, points: list, base: tuple) -> dict:
+    """_pair_sums of points and base; in rank 1, with points ascending, a
+    bitset sumset while it spans no more than the membership table does."""
+    if (S.dim == 1 and points and base and points[-1][0] - points[0][0]
+            + base[-1][0] - base[0][0] <= _RANK1_BOUND):
+        return _rank1_sums(points, base)
+    return _pair_sums(points, base)
+
+
 def _powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
             ) -> Iterator[tuple[int, MonomialIdeal, dict[tuple, tuple[int, ...]]]]:
     """(m, I^m, layer) for m = 1..mmax, each power minimalize(I^(m-1)·I).
@@ -294,14 +308,7 @@ def _powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
             count = len(layer) * len(base)
             ctx.precheck_multisets(count)
             ctx.charge_multisets(count)
-            points = list(layer)
-            # a rank-1 sumset is a bitset while it spans no more than the
-            # membership table does
-            if (S.dim == 1 and points and points[-1][0] - points[0][0]
-                    + base[-1][0] - base[0][0] <= _RANK1_BOUND):
-                first = _rank1_sums(points, base)
-            else:
-                first = _pair_sums(points, base)
+            first = _sums(S, list(layer), base)
             kept = minimalize(S, first, ctx)
             factors = list(layer.values())
             layer = {}
@@ -387,7 +394,30 @@ def nilpotency_index(I: MonomialIdeal, B: MonomialIdeal, mmax: int,
         ctx = SearchContext()
     if not ideal_contains(I, B, ctx):
         raise PreconditionViolated("B ⊆ I", "the sub-ideal is not inside the ideal")
-    for m, power, _ in _powers(I, mmax, ctx):
-        if ideal_contains(B, power, ctx):
-            return m
+    return least_power_inside(I, B, mmax, ctx)
+
+
+def least_power_inside(I, B, cap: int, ctx: SearchContext) -> Optional[int]:
+    """Least n <= cap with I^n ⊆ B, or None, for two ideals of one kind
+    (MonomialIdeal, or the integer model's IntIdeal).
+
+    Decided on the outside set: the n-fold products of I's generators that
+    are not in B. B is an ideal, so a product in B stays in B under one
+    more factor, and the outside set at n is the distinct products of the
+    one at n - 1 with I's generators, minus B. I^n ⊆ B iff it is empty. No
+    full power is built and nothing is minimalized; each step charges
+    |outside|·|I| multisets, the products it forms.
+    """
+    outside: list = []
+    for n in range(1, cap + 1):
+        if n == 1:
+            products = I.generators
+        else:
+            count = len(outside) * len(I.generators)
+            ctx.precheck_multisets(count)
+            ctx.charge_multisets(count)
+            products = I.times_generators(outside, ctx)
+        outside = [x for x in products if not B.contains(x, ctx)]
+        if not outside:
+            return n
     return None

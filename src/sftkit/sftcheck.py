@@ -7,10 +7,12 @@ kinds carry: MonomialIdeal (elements are lattice points) and the integer
 model's IntIdeal (elements are monomial keys (x-degree, coefficient)). An
 ideal lists its `generators` and `gens` (the same generators as the user
 sees them), and answers `contains(x, ctx)`, `multiply(x, y, ctx)`,
-`power(m, ctx)`, `products(n, ctx)` and `powers(mmax, ctx)` (the
-(factors, x) generators of I^n), `radical_index(x, kmax, ctx)` (least k
-with x^k inside, or None), `witness(x)` (the fields naming x in a report)
-and `generator_elements(ring)`. Only facts about the ring, not the ideal,
+`power(m, ctx)`, `products(n, ctx)` (the (factors, x) generators of I^n),
+`times_generators(xs, ctx)` (the distinct products of xs with the
+generators, on which ideals.least_power_inside decides the least n with
+I^n ⊆ B), `radical_index(x, kmax, ctx)` (least k with x^k inside, or
+None), `witness(x)` (the fields naming x in a report) and
+`generator_elements(ring)`. Only facts about the ring, not the ideal,
 still branch on the model: the quotient kernel and the exhaustive
 certificate.
 
@@ -43,7 +45,7 @@ from .errors import (BudgetExceeded, NoCertificateApplicable,
                      PreconditionViolated, TruncationTooSmall,
                      UnsupportedModel)
 from .exponents import ExponentVector
-from .ideals import monomial_ideal
+from .ideals import least_power_inside, monomial_ideal
 from .models import RingModel, build_model, check_model_params
 
 
@@ -215,14 +217,6 @@ def _vsft_core(data, ctx):
     return None
 
 
-def _minimal_index_core(I, B, cap, ctx) -> Optional[int]:
-    """Least n ≤ cap with I^n ⊆ B, or None. Preconditions already checked."""
-    for n, products in I.powers(cap, ctx):
-        if all(B.contains(x, ctx) for _, x in products):
-            return n
-    return None
-
-
 # ---------------------------------------------------------------------------
 # SFT certificates
 
@@ -383,7 +377,7 @@ def minimal_vsft_index(model: RingModel, I, B, cap: int,
     """Least n ≤ cap with I^n ⊆ B. Requires B ⊆ I ⊆ √B."""
     _check_sub(I, B, ctx)
     _check_radical(I, B, max(cap, 8), ctx)
-    n = _minimal_index_core(I, B, cap, ctx)
+    n = least_power_inside(I, B, cap, ctx)
     if n is None:
         return _report(claim, Verdict.INCONCLUSIVE_AT_TRUNCATION, model, ctx,
                        exact=True, cap=cap)
@@ -415,7 +409,7 @@ def divergence_table(family: str, level_key: str, levels, fixed: dict,
     table = []
     for level in levels:
         m = build_model(family, ctx, **{**fixed, level_key: level})
-        n = inconclusive_on_budget(claim, m, ctx, lambda: _minimal_index_core(
+        n = inconclusive_on_budget(claim, m, ctx, lambda: least_power_inside(
             m.ideal(I_name), m.ideal(B_name), cap, ctx))
         if isinstance(n, VerificationReport):
             return n
@@ -484,7 +478,7 @@ def modified_radical_power_index(model: RingModel, I, J, data_for_J: SftData,
     rad_kmax = max(kmax, 8)
     _check_radical(J, I, rad_kmax, ctx, "J ⊆ √I")
     _check_radical(I, J, rad_kmax, ctx, "I ⊆ √J")
-    k = _minimal_index_core(J, I, kmax, ctx)
+    k = least_power_inside(J, I, kmax, ctx)
     if k is None:
         return _report(claim, Verdict.INCONCLUSIVE_AT_TRUNCATION, model,
                        ctx, exact=True, kmax=kmax)
@@ -792,7 +786,7 @@ def anyradical_index(model: RingModel, I, B, mmax: int,
     truncation. Requires B ⊆ I."""
     _check_radical(I, B, mmax, ctx)
     _check_sub(I, B, ctx)
-    m = _minimal_index_core(I, B, mmax, ctx)
+    m = least_power_inside(I, B, mmax, ctx)
     if m is None:
         return _report(claim, Verdict.INCONCLUSIVE_AT_TRUNCATION, model, ctx,
                        exact=True, mmax=mmax)

@@ -156,6 +156,7 @@ class TestModelRecords:
         with pytest.raises(SchemaError) as ei:
             record_to_model(rec)
         assert "disagrees" in str(ei.value)
+        assert "model.monoid.gens[0]" in str(ei.value)  # the first difference
 
 
 class TestClaimRecords:

@@ -359,7 +359,12 @@ class TestLatticeFrame:
     @pytest.mark.parametrize("name,I", list(power_pairs()),
                              ids=[n for n, _ in power_pairs()])
     def test_protocol_powers_stay_on_the_lattice(self, name, I, monkeypatch):
-        want = [(m, products) for m, products in I.powers(3, SearchContext())]
+        def cube(ctx):
+            return I.times_generators(I.times_generators(I.generators, ctx),
+                                      ctx)
+
+        want_step = cube(SearchContext())
+        want = I.products(3)
 
         def refuse(*args):
             raise AssertionError("exponent conversion inside the power loop")
@@ -367,9 +372,14 @@ class TestLatticeFrame:
         S = I.monoid
         monkeypatch.setattr(type(S), "from_lattice", refuse)
         monkeypatch.setattr(type(S), "to_lattice", refuse)
-        assert list(I.powers(3, SearchContext())) == want
-        assert I.products(3) == want[-1][1]
-        assert I.power(3).generators == tuple(v for _, v in want[-1][1])
+        assert cube(SearchContext()) == want_step
+        assert I.products(3) == want
+        assert I.power(3).generators == tuple(v for _, v in want)
+        # the steps reach every 3-fold product, and I^3 keeps some of them
+        assert set(want_step) == {
+            tuple(map(sum, zip(*c)))
+            for c in itertools.combinations_with_replacement(I.generators, 3)}
+        assert set(I.power(3).generators) <= set(want_step)
 
     def test_ideal_built_two_ways_is_equal(self):
         for I in (monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)]),

@@ -17,6 +17,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+import random
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,12 +28,14 @@ from sftkit.budget import PROFILES, Budgets, SearchContext
 from sftkit.elements import (alive_ideal_monomials, element_add,
                              element_in_ideal, element_multiply,
                              element_power, enumerate_ideal_elements,
-                             monomial_element, random_element)
-from sftkit.errors import (PreconditionViolated, TruncationTooSmall,
-                           UnsupportedModel)
-from sftkit.exponents import ExponentVector, scalar_multiple
+                             int_ideal_full, int_ideal_two, monomial_element,
+                             random_element)
+from sftkit.errors import (BudgetExceeded, PreconditionViolated,
+                           TruncationTooSmall, UnsupportedModel)
+from sftkit.exponents import (ExponentVector, MonoidPresentation,
+                              scalar_multiple)
 from sftkit.files import drop_timing, dumps_record, report_record
-from sftkit.ideals import ideal_member, monomial_ideal
+from sftkit.ideals import ideal_member, least_power_inside, monomial_ideal
 from sftkit.models import (build_model, catalog_claims, catalog_models,
                            dyadic, fraction_monoid, frobenius_quotient,
                            int_plus_2x)
@@ -411,6 +415,100 @@ class TestIndexSearches:
         with pytest.raises(PreconditionViolated):
             divergence_table("frobenius_quotient", "v", [2], {"p": 2},
                              "max", "zero", cap=8)
+
+
+def _random_monoid_pair(rng: random.Random):
+    """A rank-1 to rank-3 presentation, truncated half the time by an
+    entry_ge kill (then on nonnegative generators, where the kill is
+    monotone), an ideal I of sums of its generators, and B generated by
+    multiples of some of I's generators."""
+    dim = rng.randint(1, 3)
+    kill = ("entry_ge", rng.randint(2, 6)) if rng.random() < 0.5 else None
+    lam = tuple(rng.randint(1, 3) for _ in range(dim))
+    dense = set()
+    for _ in range(rng.randint(1, 4)):
+        g = tuple(rng.randint(0 if kill else -2, 3) for _ in range(dim))
+        if sum(l * e for l, e in zip(lam, g)) > 0:
+            dense.add(g)
+    if not dense:
+        dense.add((1,) + (0,) * (dim - 1))
+    gens = [ExponentVector.from_dense(g) for g in sorted(dense)]
+    S = MonoidPresentation(dim, tuple(gens), lam, kill=kill)
+
+    def element(size):
+        e = ExponentVector.zero(dim)
+        for _ in range(size):
+            e = e + rng.choice(gens)
+        return e
+
+    I = monomial_ideal(S, [element(rng.randint(1, 3))
+                           for _ in range(rng.randint(1, 3))])
+    picked = rng.sample(I.gens, rng.randint(0, len(I.gens)))
+    B = monomial_ideal(S, [g + element(rng.randint(0, 3)) for g in picked])
+    return I, B
+
+
+def _random_int_pair(rng: random.Random):
+    """Two integer-model ideals from (2, 2x, ..., 2x^D), its powers and (2)."""
+    def draw():
+        if rng.random() < 0.25:
+            return int_ideal_two()
+        return int_ideal_full(rng.randint(1, 4)).power(rng.randint(1, 3))
+    return draw(), draw()
+
+
+def _least_power_by_products(I, B, cap, ctx):
+    """The oracle: least n <= cap whose full power I^n has every generator
+    in B."""
+    for n in range(1, cap + 1):
+        if all(B.contains(x, ctx) for _, x in I.products(n, ctx)):
+            return n
+    return None
+
+
+class TestLeastPowerInside:
+    """least_power_inside decides I^n ⊆ B on the products still outside B;
+    the oracle builds every full power."""
+
+    @staticmethod
+    def _agree(pairs, cap):
+        compared = found = 0
+        for I, B in pairs:
+            budgets = Budgets(search_nodes=20_000, multisets=20_000,
+                              degree_cap=24)
+            try:
+                want = _least_power_by_products(I, B, cap,
+                                                SearchContext(budgets))
+                got = least_power_inside(I, B, cap, SearchContext(budgets))
+            except BudgetExceeded:
+                continue
+            assert got == want, (I.gens, B.gens)
+            compared += 1
+            found += want is not None
+        return compared, found
+
+    def test_monoid_ideals_agree_with_full_powers(self):
+        rng = random.Random(20261018)
+        compared, found = self._agree(
+            (_random_monoid_pair(rng) for _ in range(300)), cap=6)
+        assert compared >= 250 and found >= 150
+
+    def test_integer_model_ideals_agree_with_full_powers(self):
+        rng = random.Random(12)
+        compared, found = self._agree(
+            (_random_int_pair(rng) for _ in range(120)), cap=4)
+        assert compared >= 100 and found >= 30
+
+    def test_each_step_charges_the_outside_set_times_the_generators(self):
+        # x, y with every entry capped below 3, B = 0: the outside sets are
+        # {x, y}, {x², xy, y²}, {x²y, xy²}, {x²y²}, then nothing at n = 5
+        S = MonoidPresentation(2, (ExponentVector.unit(2, 0, 1),
+                                   ExponentVector.unit(2, 1, 1)), (1, 1),
+                               kill=("entry_ge", 3))
+        I = monomial_ideal(S, S.gens)
+        ctx = SearchContext()
+        assert least_power_inside(I, monomial_ideal(S, []), 8, ctx) == 5
+        assert ctx.multisets_used == (2 + 3 + 2 + 1) * 2
 
 
 class TestRadicalChecks:
