@@ -351,6 +351,8 @@ def element_power(f: PolyElement, n: int,
         raise PreconditionViolated("n >= 1", f"got {n}")
     out = f
     for _ in range(n - 1):
+        if out.is_zero:
+            break  # 0 * f = 0, and the degree cap already passed 2 * deg f
         out = element_multiply(out, f, ctx)
     return out
 
@@ -444,6 +446,15 @@ class IntIdeal:
         xdeg = x[0] + y[0]
         _check_degree_cap((ctx or SearchContext()).budgets.degree_cap, 0, xdeg)
         return xdeg, x[1] * y[1]
+
+    def nth_power(self, x: tuple[int, int], n: int,
+                  ctx: Optional[SearchContext] = None) -> tuple[int, int]:
+        """x^n one factor at a time, so a degree cap names the first
+        x-degree past it."""
+        out = x
+        for _ in range(n - 1):
+            out = self.multiply(out, x, ctx)
+        return out
 
     def products(self, n: int, ctx: SearchContext):
         """(factors, key) for every n-fold product of generators,

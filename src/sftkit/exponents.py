@@ -31,6 +31,9 @@ MAX_DIM = 64
 # depth-first search takes over (the table would need that many bits)
 _RANK1_BOUND = 1 << 22
 
+# the least bound a rank-1 table is built to
+_RANK1_MIN = 4096
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -519,7 +522,8 @@ class MonoidPresentation:
 
     def _ctx_tables(self, ctx: SearchContext) -> dict:
         """This presentation's search tables in the context: the rank-1
-        reachability bitsets and the search memo."""
+        reachability bitsets (and the ideal layer's byte copy) and the search
+        memo."""
         slot = ctx.tables.get(id(self))
         if slot is None or slot[0] is not self:
             slot = (self, {})
@@ -530,30 +534,43 @@ class MonoidPresentation:
         """Numerical-semigroup membership by bitset dynamic programming.
 
         suffix[i] is the reachability bitset of the generator suffix i..end
-        (bit v set when v is a sum from that suffix), built once per context
-        and grown geometrically, so a whole batch of queries against the
-        same monoid costs one table build. Returns a table covering a.
+        (bit v set when v is a sum from that suffix). A context's table
+        covers its largest query so far and grows geometrically, so a whole
+        batch of queries against the same monoid costs one table. Each
+        context is charged for its table as if it built it, but the table
+        at the least bound, _RANK1_MIN, is built once per presentation and
+        shared. Returns a table covering a.
         """
         cache = self._ctx_tables(ctx)
         entry = cache.get("rank1")
         if entry is None or entry[0] < a:
-            gvals = tuple(g[0] for g in self._pack["gens_int"])
-            n = len(gvals)
-            bound = max(a, 4096, 0 if entry is None else 2 * entry[0])
-            mask = (1 << (bound + 1)) - 1
-            suffix = [0] * (n + 1)
-            cur = 1
-            suffix[n] = cur
-            for i in range(n - 1, -1, -1):
-                s = gvals[i]
-                while s <= bound:
-                    cur |= (cur << s) & mask
-                    s <<= 1
-                suffix[i] = cur
-            ctx.charge_nodes(n * max(1, bound.bit_length()))
+            bound = max(a, _RANK1_MIN, 0 if entry is None else 2 * entry[0])
+            suffix = (self._rank1_base if bound == _RANK1_MIN
+                      else self._rank1_build(bound))
+            ctx.charge_nodes((len(suffix) - 1) * max(1, bound.bit_length()))
             entry = (bound, suffix)
             cache["rank1"] = entry
         return entry[1]
+
+    @cached_property
+    def _rank1_base(self) -> list:
+        return self._rank1_build(_RANK1_MIN)
+
+    def _rank1_build(self, bound: int) -> list:
+        """The suffix reachability bitsets up to bound."""
+        gvals = tuple(g[0] for g in self._pack["gens_int"])
+        n = len(gvals)
+        mask = (1 << (bound + 1)) - 1
+        suffix = [0] * (n + 1)
+        cur = 1
+        suffix[n] = cur
+        for i in range(n - 1, -1, -1):
+            s = gvals[i]
+            while s <= bound:
+                cur |= (cur << s) & mask
+                s <<= 1
+            suffix[i] = cur
+        return suffix
 
 
 def _resum(terms, dim: int) -> tuple:

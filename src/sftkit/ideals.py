@@ -15,14 +15,22 @@ comparing ideals never leaves the frame; `gens` is the ExponentVector view.
 Each power step sums the previous power's generators with the base's: as a
 pair loop, or in rank 1 as a bitset sumset with the same result.
 
+Membership of a point in an ideal loops over the generators g, lightest
+first, asking whether the point minus g is in the monoid. In rank 1 the
+loop is answered from the ideal's generator bitsets and a byte copy of the
+context's reachability table, charging the nodes the loop would
+(_rank1_member); first_pair_outside scans generator pairs by shifts for
+the witness search in the same way.
+
 MonomialIdeal also carries the ideal protocol the verdict layer is written
 against: its elements are lattice points, `generators` lists them,
-`contains`, `multiply`, `power`, `products`, `times_generators` and
-`radical_index` work on them, `witness` names one in a report and
-`generator_elements` turns the generators into ring elements. The integer
-model's IntIdeal carries the same methods on monomial keys (x-degree,
-coefficient); its `products` enumerates multisets of generators in
-lexicographic order and multiplies each shared prefix once.
+`contains`, `multiply`, `nth_power`, `power`, `products`,
+`times_generators` and `radical_index` work on them, `witness` names one
+in a report and `generator_elements` turns the generators into ring
+elements. The integer model's IntIdeal carries the same methods on
+monomial keys (x-degree, coefficient); its `products` enumerates multisets
+of generators in lexicographic order and multiplies each shared prefix
+once.
 least_power_inside decides the least n with I^n ⊆ B on either kind through
 that protocol, without building a full power.
 """
@@ -62,6 +70,26 @@ class MonomialIdeal:
         """Integer grading of each generator, in generators order."""
         return tuple(map(self.monoid.lattice_weight, self.generators))
 
+    @cached_property
+    def _rank1(self) -> Optional[tuple[int, int, int, int, int]]:
+        """What _rank1_member reads, fixed per ideal: (bit g for each
+        generator g, bit gmax - g for each, the least generator g0, the
+        largest gmax, the least monoid generator m). None off rank 1, on a
+        monoid without generators, or when the generators are not strictly
+        ascending inside the membership table's range 0.._RANK1_BOUND."""
+        S = self.monoid
+        if S.dim != 1 or not S.gens:
+            return None
+        vals = [g for (g,) in self.generators] or [0]  # empty: g0 = gmax = 0
+        if not (0 <= vals[0] and vals[-1] <= _RANK1_BOUND) or any(
+                x >= y for x, y in zip(vals, vals[1:])):
+            return None
+        bits = reflected = 0
+        for (g,) in self.generators:
+            bits |= 1 << g
+            reflected |= 1 << (vals[-1] - g)
+        return bits, reflected, vals[0], vals[-1], S._pack["gens_int"][-1][0]
+
     @property
     def is_zero(self) -> bool:
         return not self.generators
@@ -77,6 +105,9 @@ class MonomialIdeal:
 
     def multiply(self, v: tuple, w: tuple, ctx=None) -> tuple:
         return tuple(map(add, v, w))
+
+    def nth_power(self, v: tuple, n: int, ctx=None) -> tuple:
+        return tuple(n * x for x in v)
 
     def power(self, m: int, ctx: Optional[SearchContext] = None) -> "MonomialIdeal":
         return _power(self, m, ctx)[0]
@@ -108,8 +139,9 @@ class MonomialIdeal:
         return {"exponent": self.monoid.from_lattice(v)}
 
     def generator_elements(self, ring) -> list:
-        from .elements import monomial_element  # elements imports this module
-        return [monomial_element(ring, e, 1, 0) for e in self.gens]
+        from .elements import _check_frame, _element  # elements imports this module
+        _check_frame(ring.monoid, self)
+        return [_element(ring, [((v, 0), 1)], None) for v in self.generators]
 
 
 def _factored(layer: dict) -> list:
@@ -214,13 +246,66 @@ def ideal_member(I: MonomialIdeal, target: ExponentVector,
 def ideal_lattice_member(I: MonomialIdeal, v: tuple, ctx: SearchContext) -> bool:
     """ideal_member for a lattice point of I's monoid."""
     S = I.monoid
-    if S.lattice_killed(v, ctx):
+    if S.kill is not None and S.lattice_killed(v, ctx):
         return True
+    if S.dim == 1:
+        found = _rank1_member(I, v[0], ctx)
+        if found is not None:
+            return found
     wv = S.lattice_weight(v)
     for g, wg in zip(I.generators, I.gen_weights):
         if _divides(S, tuple(map(sub, v, g)), wv - wg, ctx):
             return True
     return False
+
+
+def _rank1_member(I: MonomialIdeal, a: int, ctx: SearchContext) -> Optional[bool]:
+    """The generator loop of ideal_lattice_member for the rank-1 point a,
+    answered from bitsets, or None where it cannot be: a search is due but
+    ctx has no reachability table yet, or a is past min(L, _RANK1_BOUND) +
+    g0 (L the table bound, g0 the least generator of I), where the loop
+    would grow the table or search.
+
+    The loop takes the generators g ascending. It charges one node for each
+    g <= a - m (m the least monoid generator; a nearer g needs no search),
+    and stops at the first g with a - g in S. The table's bits a - gmax ..
+    a - g0, read off as bytes so the cost does not grow with L, line up
+    with the generators reflected about gmax: their AND marks every g with
+    a - g a nonzero element of S, so a - g >= m. The lowest mark is where
+    the loop stops, and popcounts give the nodes it charges, which are
+    charged as the loop's one-node queries would be: a budget stops at the
+    same count. a itself a generator is a member at no charge.
+    """
+    fixed = I._rank1
+    if fixed is None:
+        return None
+    gbits, reflected, g0, gmax, m = fixed
+    cap = a - m
+    if cap < g0:
+        return a >= 0 and bool(gbits >> a & 1)  # no search is due
+    tables = I.monoid._ctx_tables(ctx)
+    table = tables.get("rank1")
+    if table is None or a > min(table[0], _RANK1_BOUND) + g0:
+        return None
+    nonzero = tables.get("rank1_bytes")
+    if nonzero is None or nonzero[0] is not table:
+        L = table[0]
+        nonzero = tables["rank1_bytes"] = (
+            table, (table[1][0] & ~1).to_bytes((L >> 3) + 1, "little"))
+    lo = a - gmax  # bit k of window: table bit lo + k, generator gmax - k
+    first = lo if lo > 0 else 0
+    window = int.from_bytes(nonzero[1][first >> 3:((a - g0) >> 3) + 1],
+                            "little") >> (first & 7) << (first - lo)
+    hits = window & reflected
+    if hits:
+        h = gmax - hits.bit_length() + 1
+        n, found = (gbits & ((2 << h) - 1)).bit_count(), True
+    else:
+        n, found = (gbits & ((2 << cap) - 1)).bit_count(), bool(gbits >> a & 1)
+    if n:
+        left = ctx.budgets.search_nodes - ctx.nodes_used
+        ctx.charge_nodes(n if n <= left else max(1, left + 1))
+    return found
 
 
 def ideal_contains_witness(I: MonomialIdeal, J: MonomialIdeal,
@@ -286,6 +371,55 @@ def _sums(S: MonoidPresentation, points: list, base: tuple) -> dict:
             + base[-1][0] - base[0][0] <= _RANK1_BOUND):
         return _rank1_sums(points, base)
     return _pair_sums(points, base)
+
+
+def rank1_pair_scan_fits(I) -> bool:
+    """first_pair_outside applies: a rank-1 MonomialIdeal whose pair sums
+    span no more than the membership table does."""
+    return (isinstance(I, MonomialIdeal) and I._rank1 is not None
+            and 2 * (I.generators[-1][0] - I.generators[0][0]) <= _RANK1_BOUND)
+
+
+def first_pair_outside(I: MonomialIdeal, B, inside: dict,
+                       ctx: SearchContext) -> Optional[tuple[tuple, tuple]]:
+    """((i, j), g_i + g_j) for the lexicographically least pair i < j of I's
+    rank-1 generators whose sum is not in B, or None, by shifts: row i's
+    sums are the bitset of g_{j>i} shifted by g_i, and only the bits no
+    earlier row set are new. Each new sum, ascending, is looked up in
+    `inside` (point -> in B, shared with the caller) and otherwise decided
+    by B.contains and recorded there; the first one outside B is the
+    witness.
+
+    Charged as the pair loop is: one multiset per pair up to and including
+    the witness (all C(n, 2) without one), and B.contains's nodes once per
+    distinct sum in scan order, so a budget runs out at the same pair with
+    the same counts. Requires rank1_pair_scan_fits(I).
+    """
+    vals = [g for (g,) in I.generators]
+    n, lo = len(vals), vals[0]
+    index = {g: j for j, g in enumerate(vals)}
+    bits = I._rank1[0] >> lo
+    seen = 0  # bit s: the sum 2*lo + s was met in an earlier row
+    for i, gi in enumerate(vals):
+        off = gi - lo
+        new = ((bits >> (off + 1)) << (2 * off + 1)) & ~seen
+        seen |= new
+        last = i  # pairs (i, i+1..last) charged so far
+        while new:
+            low = new & -new
+            s = low.bit_length() - 1
+            j = index[s - off + lo]
+            ctx.charge_multisets(j - last)
+            last = j
+            v = (2 * lo + s,)
+            hit = inside.get(v)
+            if hit is None:
+                hit = inside[v] = B.contains(v, ctx)
+            if not hit:
+                return (i, j), v
+            new ^= low
+        ctx.charge_multisets(n - 1 - last)
+    return None
 
 
 def _powers(I: MonomialIdeal, mmax: int, ctx: SearchContext

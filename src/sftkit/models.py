@@ -276,6 +276,15 @@ _CHECKS = {
 }
 
 
+# each family's model parameters with their defaults, in signature order,
+# read once from its constructor
+_DEFAULTS = {
+    family: {name: p.default
+             for name, p in inspect.signature(ctor).parameters.items()
+             if name != "ctx"}
+    for family, ctor in FAMILIES.items()}
+
+
 def _constructor(family: str, params: dict):
     """The family's constructor, once every parameter is one it takes (an
     UnknownExample otherwise)."""
@@ -283,11 +292,10 @@ def _constructor(family: str, params: dict):
         ctor = FAMILIES[family]
     except KeyError:
         raise UnknownExample(family, sorted(FAMILIES)) from None
-    known = [name for name in inspect.signature(ctor).parameters
-             if name != "ctx"]
-    unknown = sorted(set(params) - set(known))
+    known = _DEFAULTS[family]
+    unknown = sorted(set(params).difference(known))
     if unknown:
-        raise UnknownExample(unknown[0], known, what=f"{family} parameter")
+        raise UnknownExample(unknown[0], list(known), what=f"{family} parameter")
     return ctor
 
 
@@ -304,10 +312,8 @@ def build_model(family: str, ctx: Optional[SearchContext] = None,
 def check_model_params(family: str, **params) -> None:
     """Raise what build_model would raise for these parameters before it
     builds anything (UnknownExample, PreconditionViolated), building nothing."""
-    call = inspect.signature(_constructor(family, params)).bind(**params)
-    call.apply_defaults()
-    call.arguments.pop("ctx")
-    _CHECKS[family](**call.arguments)
+    _constructor(family, params)
+    _CHECKS[family](**{**_DEFAULTS[family], **params})
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ kinds carry: MonomialIdeal (elements are lattice points) and the integer
 model's IntIdeal (elements are monomial keys (x-degree, coefficient)). An
 ideal lists its `generators` and `gens` (the same generators as the user
 sees them), and answers `contains(x, ctx)`, `multiply(x, y, ctx)`,
-`power(m, ctx)`, `products(n, ctx)` (the (factors, x) generators of I^n),
-`times_generators(xs, ctx)` (the distinct products of xs with the
-generators, on which ideals.least_power_inside decides the least n with
-I^n ⊆ B), `radical_index(x, kmax, ctx)` (least k with x^k inside, or
-None), `witness(x)` (the fields naming x in a report) and
+`nth_power(x, n, ctx)` (x^n), `power(m, ctx)`, `products(n, ctx)` (the
+(factors, x) generators of I^n), `times_generators(xs, ctx)` (the
+distinct products of xs with the generators, on which
+ideals.least_power_inside decides the least n with I^n ⊆ B),
+`radical_index(x, kmax, ctx)` (least k with x^k inside, or None),
+`witness(x)` (the fields naming x in a report) and
 `generator_elements(ring)`. Only facts about the ring, not the ideal,
 still branch on the model: the quotient kernel and the exhaustive
 certificate.
@@ -45,7 +46,8 @@ from .errors import (BudgetExceeded, NoCertificateApplicable,
                      PreconditionViolated, TruncationTooSmall,
                      UnsupportedModel)
 from .exponents import ExponentVector
-from .ideals import least_power_inside, monomial_ideal
+from .ideals import (first_pair_outside, least_power_inside, monomial_ideal,
+                     rank1_pair_scan_fits)
 from .models import RingModel, build_model, check_model_params
 
 
@@ -199,9 +201,7 @@ def _sft_gens_core(data, ctx):
     """First generator of I whose n-th power leaves B, or None."""
     I = data.I
     for idx, x in enumerate(I.generators):
-        xn = x
-        for _ in range(data.n - 1):
-            xn = I.multiply(xn, x, ctx)
+        xn = I.nth_power(x, data.n, ctx)
         if not data.B.contains(xn, ctx):
             return {"kind": "generator_power", "generator_index": idx,
                     "power": data.n, **I.witness(xn)}
@@ -325,12 +325,36 @@ def verify_vsft(model: RingModel, data: SftData,
                    exact=True, witness=witness, index=data.n, **details)
 
 
+def _first_combo_outside(I, B, k, member_cache, ctx):
+    """(combo, product) for the lexicographically least k distinct
+    generators of I whose product is not in B, or None. One multiset per
+    combination; B.contains runs once per distinct product, its answer kept
+    in member_cache."""
+    gens = I.generators
+    for combo in itertools.combinations(range(len(gens)), k):
+        ctx.charge_multisets(1)
+        prod = gens[combo[0]]
+        for j in combo[1:]:
+            prod = I.multiply(prod, gens[j], ctx)
+        inside = member_cache.get(prod)
+        if inside is None:
+            inside = member_cache[prod] = B.contains(prod, ctx)
+        if not inside:
+            return combo, prod
+    return None
+
+
 @_guarded
 def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
                       ctx: Optional[SearchContext] = None,
                       claim: str = "vsft-witness") -> VerificationReport:
     """For each k in [kmin, kmax], the lexicographically least product of k
-    distinct generators of I outside B, if any."""
+    distinct generators of I outside B, if any.
+
+    Combinations are tried in lexicographic order, one multiset each, and
+    B.contains runs once per distinct product. At k = 2 on a rank-1
+    MonomialIdeal, ideals.first_pair_outside finds the same pair by bitset
+    shifts, charging the same multisets and nodes."""
     if kmax < 1 or kmin < 1 or kmin > kmax:
         raise PreconditionViolated("1 <= kmin <= kmax", f"got [{kmin},{kmax}]")
     gens = I.generators
@@ -343,21 +367,16 @@ def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
     last_witness = None
     for k in range(kmin, kmax + 1):
         ctx.precheck_multisets(math.comb(len(gens), k))
+        if k == 2 and rank1_pair_scan_fits(I):
+            hit = first_pair_outside(I, B, member_cache, ctx)
+        else:
+            hit = _first_combo_outside(I, B, k, member_cache, ctx)
         found = None
-        for combo in itertools.combinations(range(len(gens)), k):
-            ctx.charge_multisets(1)
-            prod = gens[combo[0]]
-            for j in combo[1:]:
-                prod = I.multiply(prod, gens[j], ctx)
-            inside = member_cache.get(prod)
-            if inside is None:
-                inside = member_cache[prod] = B.contains(prod, ctx)
-            if not inside:
-                found = {"k": k, "factors": list(combo), **I.witness(prod)}
-                break
+        if hit is not None:
+            combo, prod = hit
+            found = last_witness = {"k": k, "factors": list(combo),
+                                    **I.witness(prod)}
         per_k.append({"k": k, "witness": found})
-        if found is not None:
-            last_witness = found
     details = {"per_k": per_k, "kmin": kmin, "kmax": kmax}
     if last_witness is None:
         return _report(claim, Verdict.VERIFIED, model, ctx, exact=True,

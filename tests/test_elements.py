@@ -174,6 +174,23 @@ class TestElementOps:
         with pytest.raises(PreconditionViolated):
             element_power(f, 0)
 
+    def test_power_stops_at_zero(self, monkeypatch):
+        # x_1^2 is killed in F_2[x_1, x_2]/(x_i^2): one product, not 10^5 - 1
+        from sftkit import elements
+        calls = []
+        multiply = elements.element_multiply
+
+        def counted(f, g, ctx=None):
+            calls.append(1)
+            return multiply(f, g, ctx)
+
+        monkeypatch.setattr(elements, "element_multiply", counted)
+        x = monomial_element(CharPMonoidRing(PLANE_T2, 2), ev(1, 0))
+        assert element_power(x, 10 ** 5).is_zero
+        assert len(calls) == 1
+        assert element_power(zero_element(x.ring), 10 ** 5).is_zero
+        assert len(calls) == 1
+
     def test_tdegree_cap_enforced(self):
         R = CharPMonoidRing(PLANE, 2)
         ctx = SearchContext(Budgets(degree_cap=4))

@@ -306,6 +306,22 @@ class TestDecisionRoute:
                 ExponentVector.from_dense([a]), SearchContext()) is not None), a
         assert ctx.nodes_used == base + 58  # one bit test per query
 
+    def test_rank1_contexts_share_a_build_and_each_pays_for_it(self):
+        R = MonoidPresentation(
+            dim=1, gens=tuple(ExponentVector.from_dense([g]) for g in (5, 7, 9)),
+            weights=(1,))
+        a, b = SearchContext(), SearchContext()
+        assert R.lattice_contains((12,), a) and R.lattice_contains((12,), b)
+        assert a.nodes_used == b.nodes_used == 3 * 13 + 1
+        assert R._ctx_tables(a)["rank1"][1] is R._ctx_tables(b)["rank1"][1]
+        # a larger table is the context's own and leaves the other's alone
+        assert R.lattice_contains((10_000,), a)
+        assert R._ctx_tables(b)["rank1"][0] == 4096
+        assert R.lattice_contains((10_000,), b)
+        assert a.nodes_used == b.nodes_used
+        assert R._ctx_tables(a)["rank1"] == R._ctx_tables(b)["rank1"]
+        assert R._ctx_tables(a)["rank1"][1] is not R._rank1_base
+
 
 class TestRankOneReadOff:
     @pytest.mark.parametrize("values", [(3, 5, 7), (5, 7, 9)])

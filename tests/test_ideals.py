@@ -12,19 +12,25 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
+from sftkit import exponents, ideals
 from sftkit.budget import Budgets, SearchContext
-from sftkit.errors import CombinatorialBudgetExceeded, PreconditionViolated
+from sftkit.errors import (CombinatorialBudgetExceeded, PreconditionViolated,
+                           SearchBudgetExceeded)
 from sftkit.exponents import ExponentVector, MonoidPresentation
 from sftkit.models import build_model
 from sftkit.ideals import (
     MonomialIdeal,
+    _divides,
     _pair_sums,
     _rank1_sums,
+    first_pair_outside,
     ideal_contains,
     ideal_contains_witness,
+    ideal_lattice_member,
     ideal_member,
     ideal_power,
     ideal_power_with_provenance,
@@ -525,3 +531,188 @@ class TestNilpotency:
         I = monomial_ideal(ORTHANT, [ev(1, 0)])
         with pytest.raises(PreconditionViolated):
             nilpotency_index(I, I, 0)
+
+
+# ---------------------------------------------------------------------------
+# the rank-1 bitset route against the generator loop it stands for
+
+
+def loop_member(I, v, ctx) -> bool:
+    """ideal_lattice_member as the plain loop over I's generators."""
+    S = I.monoid
+    if S.lattice_killed(v, ctx):
+        return True
+    wv = S.lattice_weight(v)
+    return any(_divides(S, tuple(map(sub, v, g)), wv - wg, ctx)
+               for g, wg in zip(I.generators, I.gen_weights))
+
+
+def pair_loop(I, B, inside, ctx):
+    """first_pair_outside as the pair loop: every pair i < j in
+    lexicographic order, one multiset each, B.contains once per sum."""
+    gens = I.generators
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        ctx.charge_multisets(1)
+        v = I.multiply(gens[i], gens[j])
+        hit = inside.get(v)
+        if hit is None:
+            hit = inside[v] = B.contains(v, ctx)
+        if not hit:
+            return (i, j), v
+    return None
+
+
+def random_numerical(rng):
+    """A rank-1 presentation on 1-4 generators, sometimes fractional."""
+    den = rng.choice([1, 1, 2, 3])
+    vals = sorted(rng.sample(range(2, 40), rng.randint(1, 4)))
+    return presentation(*[(Fraction(g, den),) for g in vals])
+
+
+def random_points(rng, S, count, lo, width):
+    """Up to count lattice points of S in [lo, lo + width), as exponents."""
+    gens = [g[0] for g in S._pack["scaled"]]
+    pts = set()
+    for _ in range(200):
+        x = sum(rng.choice(gens) for _ in range(rng.randint(0, 12)))
+        if lo <= x < lo + width:
+            pts.add(x)
+        if len(pts) >= count:
+            break
+    return [S.from_lattice((x,)) for x in sorted(pts)]
+
+
+KINDS = ("empty", "unit", "principal", "window", "spread")
+
+
+def random_rank1_ideal(rng, S, kind):
+    m = min(g[0] for g in S._pack["scaled"])
+    if kind == "empty":
+        gens = []
+    elif kind == "unit":
+        gens = [ExponentVector.zero(1)]
+    elif kind == "principal":
+        gens = random_points(rng, S, 1, 0, 10 * m)
+    elif kind == "window":  # points closer than m never divide one another
+        gens = random_points(rng, S, 30, rng.randint(m, 6 * m), m)
+    else:  # spread: generators further apart than m as well
+        gens = random_points(rng, S, 12, m, 12 * m)
+    return monomial_ideal(S, gens, SearchContext())
+
+
+def outcome(run):
+    try:
+        return run()
+    except SearchBudgetExceeded as exc:
+        return ("abort", str(exc))
+
+
+class TestRank1Bitset:
+    """ideal_lattice_member answers rank-1 queries from bitsets; answers,
+    node counts, table growth and budget aborts are the loop's."""
+
+    def run_queries(self, seed, S, I, budget, warm):
+        """One seeded query sequence on a fresh pair of contexts; the nodes
+        it used."""
+        rng = random.Random(seed)
+        fast = SearchContext(Budgets(search_nodes=budget))
+        slow = SearchContext(Budgets(search_nodes=budget))
+        if warm:  # another query on the context built the table first
+            v = (rng.randint(0, 100),)
+            assert outcome(lambda: S.lattice_contains(v, fast)) == outcome(
+                lambda: S.lattice_contains(v, slow))
+        g0 = I.generators[0][0] if I.generators else 0
+        targets = [rng.randint(-20, 120), 0, -3, g0, g0 + 1]
+        targets += [g for (g,) in I.generators[1:8]]
+        targets += [rng.randint(-5, 300) for _ in range(12)]
+        for step in range(60):
+            if step == len(targets):
+                table = S._ctx_tables(fast).get("rank1")
+                if table is None:
+                    break
+                L = min(table[0], exponents._RANK1_BOUND)
+                targets += [L + g0 + d for d in (-1, 0, 1, 2, 40)]
+                targets += [rng.randint(0, L + g0 + 50) for _ in range(6)]
+            if step >= len(targets):
+                break
+            v = (targets[step],)
+            got = outcome(lambda: ideal_lattice_member(I, v, fast))
+            want = outcome(lambda: loop_member(I, v, slow))
+            where = (S.gens, I.generators, budget, targets[:step + 1])
+            assert got == want, where
+            assert fast.nodes_used == slow.nodes_used, where
+            tables = [S._ctx_tables(c).get("rank1", (None,))[0]
+                      for c in (fast, slow)]
+            assert tables[0] == tables[1], where
+            if isinstance(got, tuple):
+                break
+        return fast.nodes_used
+
+    def check_random(self, rng, trials, kinds):
+        """Each instance unbounded, then again under a node budget drawn
+        from what it used, so the stop lands anywhere in the sequence."""
+        for trial in range(trials):
+            S = random_numerical(rng)
+            I = random_rank1_ideal(rng, S, kinds[trial % len(kinds)])
+            seed, warm = rng.random(), trial % 7 == 0
+            used = self.run_queries(seed, S, I, 10 ** 9, warm)
+            self.run_queries(seed, S, I, rng.randint(0, used), warm)
+
+    def test_matches_generator_loop_on_random_presentations(self, monkeypatch):
+        answered = []
+        route = ideals._rank1_member
+
+        def counted(I, a, ctx):
+            found = route(I, a, ctx)
+            answered.append(found is not None)
+            return found
+
+        monkeypatch.setattr(ideals, "_rank1_member", counted)
+        self.check_random(random.Random(20261019), 300, KINDS)
+        assert sum(answered) > len(answered) // 2
+
+    def test_matches_generator_loop_past_the_bitset_bound(self, monkeypatch):
+        # a table wider than _RANK1_BOUND: differences past the bound take
+        # the depth-first search, so the bitset route stops at the bound
+        for mod in (exponents, ideals):
+            monkeypatch.setattr(mod, "_RANK1_BOUND", 300)
+        self.check_random(random.Random(5), 60, KINDS[2:])
+
+    def test_catalog_ideal_batch_matches(self):
+        m = build_model("rational_valuation", denBound=4)
+        I, B = m.ideal("xV"), m.ideal("x")
+        fast, slow = SearchContext(), SearchContext()
+        for v in [(a,) for a in range(0, 200)] + [(2 * a,) for a in range(24, 48)]:
+            assert (ideal_lattice_member(B, v, fast) == loop_member(B, v, slow)
+                    and ideal_lattice_member(I, v, fast) == loop_member(I, v, slow))
+            assert fast.nodes_used == slow.nodes_used, v
+
+
+class TestPairScan:
+    """first_pair_outside against the pair loop: same witness, same
+    member cache in the same order, same meters, same budget aborts."""
+
+    def test_matches_pair_loop(self):
+        rng = random.Random(41)
+        scanned = 0
+        for trial in range(250):
+            S = random_numerical(rng)
+            I = random_rank1_ideal(rng, S, ("window", "spread")[trial % 2])
+            if len(I.generators) < 2:
+                continue
+            B = random_rank1_ideal(rng, S, KINDS[trial % len(KINDS)])
+            budget = 10 ** 9 if trial % 3 else rng.randint(0, 120)
+            fast = SearchContext(Budgets(search_nodes=budget))
+            slow = SearchContext(Budgets(search_nodes=budget))
+            fast_cache, slow_cache = {}, {}
+            if trial % 5 == 0:  # k = 1 ran first and filled the cache
+                for g in I.generators:
+                    fast_cache[g] = slow_cache[g] = B.contains(g, SearchContext())
+            got = outcome(lambda: first_pair_outside(I, B, fast_cache, fast))
+            want = outcome(lambda: pair_loop(I, B, slow_cache, slow))
+            where = (S.gens, I.generators, B.generators, budget)
+            assert got == want, where
+            assert list(fast_cache.items()) == list(slow_cache.items()), where
+            assert fast.used() == slow.used(), where
+            scanned += 1
+        assert scanned > 100

@@ -857,6 +857,41 @@ class TestWitnessSearchInputs:
             build_sft_data(m, m.ideal("zero"), m.ideal("max"), 2)
 
 
+class TestRank1PairScan:
+    """find_vsft_witness at k = 2 on rank-1 ideals scans pairs by shifts;
+    its reports equal the combination loop's, per_k and meters included,
+    also when a node budget stops either one midway."""
+
+    CASES = [("dyadic", {"nmax": 5}, "max", "two", 1, 4),
+             ("dyadic", {"nmax": 8}, "max", "two", 2, 3),
+             ("dyadic", {"nmax": 8}, "two", "max", 1, 1),
+             ("rational_valuation", {"denBound": 3}, "xV", "x", 2, 3),
+             ("rational_valuation", {"denBound": 4}, "xV", "xV", 1, 2)]
+
+    @pytest.mark.parametrize("family,params,i_name,b_name,kmin,kmax", CASES)
+    def test_reports_match_the_combination_loop(self, monkeypatch, family,
+                                                params, i_name, b_name,
+                                                kmin, kmax):
+        import dataclasses
+        from sftkit import sftcheck
+        m = build_model(family, **params)
+        I, B = m.ideal(i_name), m.ideal(b_name)
+        kmax = min(kmax, len(I.generators))
+
+        def report(budget):
+            rep = find_vsft_witness(m, I, B, kmax=kmax, kmin=kmin,
+                                    ctx=SearchContext(Budgets(search_nodes=budget)))
+            return dataclasses.asdict(rep)
+
+        full = report(10 ** 9)["budgets_used"]["search_nodes"]
+        # past the table build, a stop lands inside the pair queries
+        budgets = [10 ** 9, 0, full // 2, *range(max(full - 40, 0), full + 1, 3)]
+        scanned = [report(b) for b in budgets]
+        monkeypatch.setattr(sftcheck, "rank1_pair_scan_fits", lambda I: False)
+        for b, got in zip(budgets, scanned):
+            assert got == report(b), (family, b)
+
+
 class TestSuiteRunner:
     def test_claim_seed_is_stable_and_id_sensitive(self):
         assert claim_seed(0, "a") == claim_seed(0, "a")
