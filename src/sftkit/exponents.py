@@ -27,6 +27,11 @@ ENGINE_NAME = _search_py.ENGINE_NAME
 # cap is a sanity bound on model size, not a word width)
 MAX_DIM = 64
 
+# cap on the generators a model family builds (8! = 40,320, rational_valuation
+# at denBound 8), checked from its parameters before anything is built: a
+# sanity bound on model size, so an oversized claim file is refused, not run
+MAX_GENS = 40320
+
 # rank-1 targets up to this value use the bitset table; beyond it the
 # depth-first search takes over (the table would need that many bits)
 _RANK1_BOUND = 1 << 22
@@ -194,6 +199,12 @@ class MonoidPresentation:
     The grading functional (one positive rational per coordinate) must be
     strictly positive on every generator; that is what makes membership
     search terminate and is checked at construction.
+
+    Construction scales each generator to its lattice point once (see the
+    lattice frame below) and runs its checks on those points and the
+    integer grading: dimension, duplicates, positive weight. The search
+    data in _pack, the symmetry classes and the ideal layer all start from
+    the same points.
     """
 
     dim: int
@@ -201,37 +212,64 @@ class MonoidPresentation:
     weights: tuple[Fraction, ...]
     kill: Optional[tuple] = None
     name: str = ""
+    # search-ready integer data, built by __post_init__: the lattice frame
+    # (generators scaled by the denominator bound s0, in original order, and
+    # the integer grading lam), and the same generators sorted by decreasing
+    # integer weight (ties by original index) with their suffix tables
+    _pack: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"ambient dimension must be 1..{MAX_DIM}")
         if len(self.weights) != self.dim:
             raise ValueError("grading must assign a weight to every coordinate")
-        object.__setattr__(self, "weights", tuple(_as_fraction(w) for w in self.weights))
-        for w in self.weights:
+        weights = tuple(_as_fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        for w in weights:
             if w <= 0:
                 raise ValueError("grading weights must be positive")
-        seen = set()
+        kw = math.lcm(*(w.denominator for w in weights))
+        lam = tuple(w.numerator * kw // w.denominator for w in weights)
+        s0 = math.lcm(*(x.denominator for g in self.gens for _, x in g.entries))
+        raw: list[tuple[int, ...]] = []
+        iw: list[int] = []
+        seen: set = set()
         for g in self.gens:
             if g.dim != self.dim:
                 raise ValueError("generator dimension mismatch")
-            if g in seen:
+            v = [0] * self.dim
+            for i, x in g.entries:
+                v[i] = x.numerator * s0 // x.denominator
+            v = tuple(v)
+            if v in seen:  # scaling is injective, so equal points are equal gens
                 raise ValueError(f"duplicate generator {g!r}")
-            seen.add(g)
-            if self.weight(g) <= 0:
+            seen.add(v)
+            w = sum(map(mul, lam, v))
+            if w <= 0:
                 raise ValueError(f"grading is not positive on generator {g!r}")
+            raw.append(v)
+            iw.append(w)
         _validate_kill(self.kill, self.dim)
+        # decreasing weight, ties by index (a reverse sort is stable)
+        order = sorted(range(len(raw)), key=iw.__getitem__, reverse=True)
+        gens_int = tuple(raw[j] for j in order)
+        weights_int = tuple(iw[j] for j in order)
+        object.__setattr__(self, "_pack", {
+            "s0": s0,
+            "lam": lam,
+            "scaled": tuple(raw),
+            "order": tuple(order),
+            "gens_int": gens_int,
+            "weights_int": weights_int,
+            "tables": _search_py.suffix_tables(gens_int, weights_int, self.dim),
+        })
 
     def weight(self, e: ExponentVector) -> Fraction:
         return sum((self.weights[i] * v for i, v in e.entries), Fraction(0))
 
     @cached_property
     def denominator_bound(self) -> int:
-        d = 1
-        for g in self.gens:
-            gd = g.denominator_lcm()
-            d = d * gd // math.gcd(d, gd)
-        return d
+        return self._pack["s0"]
 
     @cached_property
     def _sym_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -242,11 +280,11 @@ class MonoidPresentation:
         targets then share one search tree and one memo."""
         if self.dim == 1 or not self.gens:
             return ()
-        dense = [g.dense() for g in self.gens]
-        gset = set(dense)
+        points = self._pack["scaled"]
+        gset = set(points)
 
         def swap_ok(a: int, b: int) -> bool:
-            for v in dense:
+            for v in points:
                 if v[a] == v[b]:
                     continue
                 w = list(v)
@@ -284,9 +322,9 @@ class MonoidPresentation:
         perm = list(range(self.dim))
         changed = False
         for cls in classes:
-            ranked = sorted(((v[k], k) for k in cls),
-                            key=lambda t: (-t[0], t[1]))
-            for pos, (_, k) in zip(cls, ranked):
+            # decreasing value, ties by coordinate: a reverse sort is stable
+            # and cls is ascending
+            for pos, k in zip(cls, sorted(cls, key=v.__getitem__, reverse=True)):
                 perm[k] = pos
                 if k != pos:
                     changed = True
@@ -296,35 +334,6 @@ class MonoidPresentation:
         for k in range(self.dim):
             canon[perm[k]] = v[k]
         return tuple(canon), perm
-
-    @cached_property
-    def _pack(self):
-        """Search-ready integer data: the lattice frame (generators scaled by
-        the denominator bound s0, in original order), and the same generators
-        sorted by decreasing integer weight (ties by original index)."""
-        s0 = self.denominator_bound
-        kw = 1
-        for w in self.weights:
-            kw = kw * w.denominator // math.gcd(kw, w.denominator)
-        lam = tuple(int(w * kw) for w in self.weights)  # integer grading, scale kw
-
-        def scaled(g: ExponentVector) -> tuple[int, ...]:
-            return tuple(int(v * s0) for v in g.dense())
-
-        raw = [scaled(g) for g in self.gens]
-        iw = [sum(lam[k] * v[k] for k in range(self.dim)) for v in raw]
-        order = sorted(range(len(self.gens)), key=lambda j: (-iw[j], j))
-        gens_int = tuple(raw[j] for j in order)
-        weights_int = tuple(iw[j] for j in order)
-        return {
-            "s0": s0,
-            "lam": lam,
-            "scaled": tuple(raw),
-            "order": tuple(order),
-            "gens_int": gens_int,
-            "weights_int": weights_int,
-            "tables": _search_py.suffix_tables(gens_int, weights_int, self.dim),
-        }
 
     @cached_property
     def _gen_lookup(self) -> dict:

@@ -14,6 +14,7 @@ schema error instead of a silently different ring.
 from __future__ import annotations
 
 import json
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -59,7 +60,9 @@ def jsonify(obj):
         return {"terms": [[jsonify(k[0]), k[1], jsonify(c)]
                           for k, c in obj.terms]}
     if isinstance(obj, MonomialIdeal):
-        return {"label": obj.label, "gens": [jsonify(g) for g in obj.gens]}
+        s0 = obj.monoid.denominator_bound
+        return {"label": obj.label,
+                "gens": [_lattice_json(v, s0) for v in obj.generators]}
     if isinstance(obj, IntIdeal):
         return {"label": obj.label, "v0": obj.v0, "v_low": obj.v_low,
                 "v_high": obj.v_high, "thresh": obj.thresh,
@@ -70,6 +73,16 @@ def jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
+def _lattice_json(v: tuple, s0: int) -> list:
+    """The canonical form of the exponent vector of lattice point v at scale
+    s0, read off the integers: str(Fraction(x, s0)) for each entry x."""
+    out = []
+    for x in v:
+        g = math.gcd(x, s0)
+        out.append(str(x // g) if g == s0 else f"{x // g}/{s0 // g}")
+    return out
 
 
 def dumps_record(rec: dict) -> str:
@@ -158,7 +171,7 @@ def model_to_record(model: RingModel) -> dict:
             "name": S.name,
             "dim": S.dim,
             "weights": [str(w) for w in S.weights],
-            "gens": [jsonify(g) for g in S.gens],
+            "gens": [_lattice_json(v, S.denominator_bound) for v in S._pack["scaled"]],
             "kill": _kill_to_jsonable(S.kill),
         }
     ideals = []

@@ -51,8 +51,10 @@ class MonomialIdeal:
     """Finite generator list of a monomial ideal inside a monoid, stored as
     lattice points of the monoid in canonical order.
 
-    Construct through monomial_ideal(), which normalizes to the canonical
-    minimal form; the raw constructor trusts its input. `gens` is the
+    Construct through monomial_ideal() (ExponentVector generators, each
+    checked to lie in the monoid) or lattice_ideal() (lattice points known
+    to), which normalize to the canonical minimal form; the raw constructor
+    trusts its input. `gens` is the
     read-only view with ExponentVector generators that reports, repr and
     the public functions below show.
     """
@@ -180,7 +182,7 @@ def minimalize(S: MonoidPresentation, points, ctx: SearchContext) -> list[tuple]
     """
     weighted = {}
     for v in points:
-        if v not in weighted and not S.lattice_killed(v, ctx):
+        if v not in weighted and not (S.kill is not None and S.lattice_killed(v, ctx)):
             weighted[v] = S.lattice_weight(v)
     order = sorted(weighted, key=lambda v: (weighted[v], v))
     minpos = S._pack["tables"][0][0]
@@ -202,7 +204,7 @@ def minimalize(S: MonoidPresentation, points, ctx: SearchContext) -> list[tuple]
 
 
 def monomial_ideal(S: MonoidPresentation, gens, ctx: Optional[SearchContext] = None,
-                   label: str = "", verify_membership: bool = True) -> MonomialIdeal:
+                   label: str = "") -> MonomialIdeal:
     """Canonical ideal from a raw generator list.
 
     Every generator must lie in the monoid (a generator equal to a monoid
@@ -217,16 +219,22 @@ def monomial_ideal(S: MonoidPresentation, gens, ctx: Optional[SearchContext] = N
         v = S.to_lattice(g)
         # monoid generators and the zero vector are members outright; a
         # killed point is the zero element, which minimalize drops
-        if verify_membership and v not in monoid_gens and (
+        if v not in monoid_gens and (
                 v is None or any(v) and not S.lattice_killed(v, ctx)
                 and not S.lattice_contains(v, ctx)):
             raise PreconditionViolated(
                 "ideal generators lie in the monoid", f"{g!r} is not in the monoid")
-        if v is None:
-            raise PreconditionViolated(
-                "ideal generators lie in the monoid", f"{g!r} is off its lattice")
         points.append(v)
-    return MonomialIdeal(S, tuple(minimalize(S, points, ctx)), label)
+    return lattice_ideal(S, points, ctx, label)
+
+
+def lattice_ideal(S: MonoidPresentation, points, ctx: Optional[SearchContext] = None,
+                  label: str = "") -> MonomialIdeal:
+    """Canonical ideal from lattice points the caller knows lie in S (the
+    monoid's own generators, or multiples of an ideal's generators); unlike
+    monomial_ideal it runs no membership check."""
+    return MonomialIdeal(S, tuple(minimalize(S, points, ctx or SearchContext())),
+                         label)
 
 
 def ideal_member(I: MonomialIdeal, target: ExponentVector,

@@ -19,8 +19,10 @@ from .budget import SearchContext
 from .elements import (CharPMonoidRing, DyadicRing, Int2xRing,
                        int_ideal_full, int_ideal_two)
 from .errors import PreconditionViolated, UnknownExample
-from .exponents import MAX_DIM, ExponentVector, MonoidPresentation
-from .ideals import monomial_ideal
+from .exponents import MAX_DIM, MAX_GENS, ExponentVector, MonoidPresentation
+from .ideals import lattice_ideal
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,17 @@ def _check_v(v: int, least: int, dim: int) -> None:
         raise PreconditionViolated(f"v <= {MAX_DIM - (dim - v)}", f"got {v}")
 
 
+def _check_gens(count: int, params: str) -> None:
+    """The generator count the parameters give against MAX_GENS."""
+    if count > MAX_GENS:
+        raise PreconditionViolated(f"at most {MAX_GENS} generators",
+                                   f"{params} gives {count}")
+
+
 # each family's parameter checks: its constructor runs them before it builds
-# anything, and check_model_params runs them without building
+# anything, and check_model_params runs them without building (MAX_DIM keeps
+# frobenius_quotient and char2_xy, with v and 1 + 2v generators, far below
+# MAX_GENS)
 
 
 def _check_frobenius(p: int, v: int) -> None:
@@ -91,10 +102,12 @@ def _check_frobenius(p: int, v: int) -> None:
 def _check_fraction(v: int, M: int) -> None:
     _check_v(v, least=2, dim=1 + v)
     _at_least("M", M, 1)
+    _check_gens(1 + v * (M + 1), f"v={v}, M={M}")
 
 
 def _check_int(D: int) -> None:
     _at_least("D", D, 1)
+    _check_gens(D + 1, f"D={D}")  # the generators 2x^j of `full`, j <= D
 
 
 def _check_char2_xy(v: int, D: int) -> None:
@@ -103,10 +116,18 @@ def _check_char2_xy(v: int, D: int) -> None:
 
 def _check_dyadic(nmax: int) -> None:
     _at_least("nmax", nmax, 2)
+    _check_gens(1 + nmax, f"nmax={nmax}")
 
 
 def _check_rational_valuation(denBound: int) -> None:
     _at_least("denBound", denBound, 2)
+    count = 1  # denBound!, multiplied out only until it passes the bound
+    for k in range(2, denBound + 1):
+        count *= k
+        if count > MAX_GENS:
+            raise PreconditionViolated(
+                f"at most {MAX_GENS} generators",
+                f"denBound={denBound} gives {denBound}!")
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +140,14 @@ def frobenius_quotient(p: int = 2, v: int = 5,
     The maximal ideal is nilpotent but its index grows with v."""
     _check_frobenius(p, v)
     char = PrimeChar(p)
-    units = tuple(ExponentVector.unit(v, i, 1) for i in range(v))
+    units = tuple(ExponentVector(v, ((i, _ONE),)) for i in range(v))
     S = MonoidPresentation(
-        dim=v, gens=units, weights=(Fraction(1),) * v,
+        dim=v, gens=units, weights=(_ONE,) * v,
         kill=("entry_ge", p), name=f"frobenius-p{p}-v{v}")
     ring = CharPMonoidRing(S, p)
     ideals = (
-        ("max", monomial_ideal(S, units, ctx, label="max")),
-        ("zero", monomial_ideal(S, (), ctx, label="zero")),
+        ("max", lattice_ideal(S, S._pack["scaled"], ctx, label="max")),
+        ("zero", lattice_ideal(S, (), ctx, label="zero")),
     )
     return RingModel(
         name=f"frobenius(p={p},v={v})", family="frobenius_quotient",
@@ -142,23 +163,21 @@ def fraction_monoid(v: int = 5, M: int = 4,
     positive weight."""
     _check_fraction(v, M)
     dim = 1 + v
-    y = ExponentVector.unit(dim, 0, 1)
-    xs = tuple(ExponentVector.unit(dim, i, 1) for i in range(1, dim))
-    fracs = tuple(
-        ExponentVector.from_map(dim, {0: Fraction(1), i: Fraction(-m)})
-        for i in range(1, dim) for m in range(1, M + 1))
+    y = ExponentVector(dim, ((0, _ONE),))
+    xs = tuple(ExponentVector(dim, ((i, _ONE),)) for i in range(1, dim))
+    fracs = tuple(ExponentVector(dim, ((0, _ONE), (i, Fraction(-m))))
+                  for i in range(1, dim) for m in range(1, M + 1))
     gens = (y,) + xs + fracs
-    weights = (Fraction(M + 1),) + (Fraction(1),) * v
+    weights = (Fraction(M + 1),) + (_ONE,) * v
     S = MonoidPresentation(dim=dim, gens=gens, weights=weights,
                            name=f"fraction-v{v}-M{M}")
     ring = CharPMonoidRing(S, 2)
-    first_level = tuple(
-        ExponentVector.from_map(dim, {0: Fraction(1), i: Fraction(-1)})
-        for i in range(1, dim))
+    points = S._pack["scaled"]
     ideals = (
-        ("frac", monomial_ideal(S, first_level, ctx, label="frac")),
-        ("y", monomial_ideal(S, (y,), ctx, label="y")),
-        ("max", monomial_ideal(S, gens, ctx, label="max")),
+        # the fractions y/x_i, each the first of its run of M
+        ("frac", lattice_ideal(S, points[dim::M], ctx, label="frac")),
+        ("y", lattice_ideal(S, points[:1], ctx, label="y")),
+        ("max", lattice_ideal(S, points, ctx, label="max")),
     )
     return RingModel(
         name=f"fraction(v={v},M={M})", family="fraction_monoid",
@@ -191,19 +210,20 @@ def char2_xy(v: int = 5, D: int = 10,
     degrees."""
     _check_char2_xy(v, D)
     dim = 1 + v
-    a = ExponentVector.from_map(dim, {0: Fraction(2)})          # X^2
-    bs = tuple(ExponentVector.from_map(dim, {0: Fraction(1), i: Fraction(1)})
-               for i in range(1, dim))                          # X Y_i
-    cs = tuple(ExponentVector.from_map(dim, {i: Fraction(2)})
-               for i in range(1, dim))                          # Y_i^2
+    two = Fraction(2)
+    a = ExponentVector(dim, ((0, two),))                              # X^2
+    bs = tuple(ExponentVector(dim, ((0, _ONE), (i, _ONE)))
+               for i in range(1, dim))                                # X Y_i
+    cs = tuple(ExponentVector(dim, ((i, two),)) for i in range(1, dim))  # Y_i^2
     gens = (a,) + bs + cs
     S = MonoidPresentation(dim=dim, gens=gens,
-                           weights=(Fraction(1),) * dim, name=f"char2xy-v{v}")
+                           weights=(_ONE,) * dim, name=f"char2xy-v{v}")
     ring = CharPMonoidRing(S, 2)
+    points = S._pack["scaled"]
     ideals = (
-        ("I", monomial_ideal(S, (a,) + bs, ctx, label="I")),
-        ("B", monomial_ideal(S, (a,), ctx, label="B")),
-        ("max", monomial_ideal(S, gens, ctx, label="max")),
+        ("I", lattice_ideal(S, points[:dim], ctx, label="I")),
+        ("B", lattice_ideal(S, points[:1], ctx, label="B")),
+        ("max", lattice_ideal(S, points, ctx, label="max")),
     )
     return RingModel(
         name=f"char2_xy(v={v},D={D})", family="char2_xy",
@@ -216,15 +236,15 @@ def dyadic(nmax: int = 8, ctx: Optional[SearchContext] = None) -> RingModel:
     """Rank-1 monoid over Q generated by 1 and n + 2^-n for n <= nmax, with
     2-adically local coefficients; the generator 1 is the scalar 2."""
     _check_dyadic(nmax)
-    vals = [Fraction(1)] + [Fraction(n) + Fraction(1, 2 ** n)
-                            for n in range(1, nmax + 1)]
-    gens = tuple(ExponentVector.from_dense((q,)) for q in vals)
-    S = MonoidPresentation(dim=1, gens=gens, weights=(Fraction(1),),
+    vals = [_ONE] + [Fraction(n * 2 ** n + 1, 2 ** n) for n in range(1, nmax + 1)]
+    gens = tuple(ExponentVector(1, ((0, q),)) for q in vals)
+    S = MonoidPresentation(dim=1, gens=gens, weights=(_ONE,),
                            name=f"dyadic-n{nmax}")
     ring = DyadicRing(S)
+    points = S._pack["scaled"]
     ideals = (
-        ("max", monomial_ideal(S, gens, ctx, label="max")),
-        ("two", monomial_ideal(S, (gens[0],), ctx, label="two")),
+        ("max", lattice_ideal(S, points, ctx, label="max")),
+        ("two", lattice_ideal(S, points[:1], ctx, label="two")),
     )
     return RingModel(
         name=f"dyadic(nmax={nmax})", family="dyadic",
@@ -236,18 +256,19 @@ def dyadic(nmax: int = 8, ctx: Optional[SearchContext] = None) -> RingModel:
 def rational_valuation(denBound: int = 6,
                        ctx: Optional[SearchContext] = None) -> RingModel:
     """F_2 + xV at denominator bound d: rank-1 monoid generated by every
-    1 + k/d! with 0 <= k < d!. All generators are minimal, so xV needs all
-    of them; (x) is the principal sub-ideal."""
+    1 + k/d! with 0 <= k < d!, the lattice points d! + k at scale d!. All
+    generators are minimal, so xV needs all of them; (x) is the principal
+    sub-ideal."""
     _check_rational_valuation(denBound)
     F = math.factorial(denBound)
-    gens = tuple(ExponentVector.from_dense((Fraction(F + k, F),))
-                 for k in range(F))
-    S = MonoidPresentation(dim=1, gens=gens, weights=(Fraction(1),),
+    gens = tuple(ExponentVector(1, ((0, Fraction(F + k, F)),)) for k in range(F))
+    S = MonoidPresentation(dim=1, gens=gens, weights=(_ONE,),
                            name=f"xv-den{denBound}")
     ring = CharPMonoidRing(S, 2)
+    points = S._pack["scaled"]
     ideals = (
-        ("xV", monomial_ideal(S, gens, ctx, label="xV")),
-        ("x", monomial_ideal(S, (gens[0],), ctx, label="x")),
+        ("xV", lattice_ideal(S, points, ctx, label="xV")),
+        ("x", lattice_ideal(S, points[:1], ctx, label="x")),
     )
     return RingModel(
         name=f"rational_valuation(denBound={denBound})",

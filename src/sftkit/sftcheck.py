@@ -46,7 +46,7 @@ from .errors import (BudgetExceeded, NoCertificateApplicable,
                      PreconditionViolated, TruncationTooSmall,
                      UnsupportedModel)
 from .exponents import ExponentVector
-from .ideals import (first_pair_outside, least_power_inside, monomial_ideal,
+from .ideals import (first_pair_outside, lattice_ideal, least_power_inside,
                      rank1_pair_scan_fits)
 from .models import RingModel, build_model, check_model_params
 
@@ -754,9 +754,9 @@ def check_quotient_pushforward(model: RingModel, data: SftData, kernel,
         else:
             new_kill = S.kill
         S_q = dataclasses.replace(S, kill=new_kill, name=S.name + "/ker")
-        I_q, B_q = (monomial_ideal(
-            S_q, tuple(g for g in J.gens if not S_q.is_killed(g, ctx)),
-            ctx, label=J.label + "+ker", verify_membership=False)
+        I_q, B_q = (lattice_ideal(
+            S_q, [v for v in J.generators if not S_q.lattice_killed(v, ctx)],
+            ctx, label=J.label + "+ker")
             for J in (data.I, data.B))
         data_q = SftData(I=I_q, B=B_q, n=data.n)
     core = _vsft_core if mode == "vsft" else _sft_gens_core

@@ -18,8 +18,8 @@ from typing import Optional
 from .budget import Budgets, SearchContext, budgets_from_env
 from .elements import make_element, monomial_element
 from .errors import SchemaError, SftkitError, UnknownExample, UnsupportedModel
-from .exponents import ExponentVector, scalar_multiple
-from .ideals import monomial_ideal
+from .exponents import ExponentVector
+from .ideals import lattice_ideal
 from .models import CatalogClaim, RingModel, catalog_models
 from .sftcheck import (SftData, Verdict, VerificationReport, anyradical_index,
                        build_sft_data, certify_sft_all_elements,
@@ -154,9 +154,9 @@ def _modified_ideal(model, J, idef, ctx):
     if op == "power":
         return J.power(m, ctx)
     if op == "gen_powers" and not model.is_integer_model:
-        return monomial_ideal(
-            model.monoid, tuple(scalar_multiple(g, m) for g in J.gens),
-            ctx, label=f"{J.label}[{m}]", verify_membership=False)
+        return lattice_ideal(
+            model.monoid, [tuple(m * x for x in v) for v in J.generators],
+            ctx, label=f"{J.label}[{m}]")
     raise UnsupportedModel(f"I_def {op!r} undefined for {model.name}")
 
 

@@ -1,5 +1,7 @@
 """Exponent vectors and monoid membership against a brute-force oracle."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sftkit.exponents as expo
+from sftkit import models
 from sftkit._search_py import drop_infeasible
 from sftkit.budget import Budgets, SearchContext
 from sftkit.errors import PreconditionViolated, SearchBudgetExceeded
@@ -358,15 +361,129 @@ class TestKillSpecs:
 
 class TestPresentationValidation:
     def test_positive_grading_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grading is not positive on "
+                           r"generator EV\(0:1,1:-1\)@2$"):
             presentation([1, -1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^grading weights must be positive$"):
             presentation([1], weights=(Fraction(0),))
+        # decided on the integer grading at the scale clearing every
+        # denominator: 1/2 * 1 + 1/3 * (-3/2) = 0, 1/2 * 1 + 1/3 * (-4/3) > 0
+        weights = (Fraction(1, 2), Fraction(1, 3))
+        with pytest.raises(ValueError, match="^grading is not positive on generator"):
+            presentation([1, Fraction(-3, 2)], weights=weights)
+        S = presentation([1, Fraction(-4, 3)], weights=weights)
+        assert S.lattice_weight(S._pack["scaled"][0]) == 1
 
     def test_duplicate_generators_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate generator EV\(0:1\)@2$"):
             presentation([1, 0], [1, 0])
+        # equal vectors with int and Fraction entries are one generator
+        with pytest.raises(ValueError, match="^duplicate generator"):
+            MonoidPresentation(dim=1, gens=(ExponentVector(1, ((0, 2),)),
+                                            EV([Fraction(2)])),
+                               weights=(1,))
+
+    def test_generator_dimension_checked(self):
+        for g in (EV([1]), EV([1, 0, 0])):
+            with pytest.raises(ValueError, match="^generator dimension mismatch$"):
+                MonoidPresentation(dim=2, gens=(EV([0, 1]), g), weights=(1, 1))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             MonoidPresentation(dim=65, gens=(), weights=(Fraction(1),) * 65)
+
+
+def fraction_frame(S):
+    """The lattice frame of S recomputed from its generators in Fraction
+    arithmetic: (scaled points, integer weight of each, symmetry classes).
+    The classes are those of the coordinate relation "equal weight, and
+    the transposition maps the generator set onto itself", an equivalence
+    relation since conjugating one such transposition by another gives a
+    third."""
+    dense = [g.dense() for g in S.gens]
+    s0 = math.lcm(*(x.denominator for d in dense for x in d))
+    kw = math.lcm(*(w.denominator for w in S.weights))
+    points = tuple(tuple(int(x * s0) for x in d) for d in dense)
+    weights = tuple(sum(w * x for w, x in zip(S.weights, d)) * s0 * kw
+                    for d in dense)
+    gset = set(dense)
+
+    def swaps(a, b):
+        return all(d[:a] + (d[b],) + d[a + 1:b] + (d[a],) + d[b + 1:] in gset
+                   for d in dense)
+
+    classes = set()
+    for a in range(S.dim):
+        cls = tuple(b for b in range(S.dim) if b == a or (
+            S.weights[a] == S.weights[b] and swaps(min(a, b), max(a, b))))
+        if len(cls) > 1:
+            classes.add(cls)
+    return points, weights, tuple(sorted(classes))
+
+
+def assert_frame(S):
+    points, weights, classes = fraction_frame(S)
+    assert S._pack["scaled"] == points
+    assert tuple(map(S.lattice_weight, points)) == weights
+    assert S._sym_classes == (classes if S.gens else ())
+
+
+@st.composite
+def presentations(draw):
+    """Random presentations; the first k coordinates share a weight and the
+    generators are closed under permuting them, so symmetry classes occur."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.lists(st.fractions(min_value=Fraction(1, 3), max_value=3,
+                                         max_denominator=3),
+                            min_size=dim, max_size=dim))
+    k = draw(st.integers(min_value=0, max_value=min(dim, 3)))
+    weights[:k] = [weights[0]] * k
+    raw = draw(st.lists(st.lists(small_fractions, min_size=dim, max_size=dim),
+                        max_size=4))
+    gens = []
+    for g in raw:
+        for head in itertools.permutations(g[:k]):
+            e = EV(list(head) + g[k:])
+            if e not in gens and sum(w * x for w, x in zip(weights, e.dense())) > 0:
+                gens.append(e)
+    return MonoidPresentation(dim=dim, gens=tuple(gens), weights=tuple(weights))
+
+
+# models whose coordinate classes are nontrivial
+SYMMETRIC = {"char2_xy": models.char2_xy(5), "fraction": models.fraction_monoid(5, 4)}
+
+
+def tuple_sort_canonical(S, v):
+    """_canonical_target ranking (value, coordinate) tuples by
+    (-value, coordinate), the reference for its sort."""
+    perm = list(range(S.dim))
+    for cls in S._sym_classes:
+        ranked = sorted(((v[k], k) for k in cls), key=lambda t: (-t[0], t[1]))
+        for pos, (_, k) in zip(cls, ranked):
+            perm[k] = pos
+    if perm == list(range(S.dim)):
+        return v, None
+    canon = [0] * S.dim
+    for k in range(S.dim):
+        canon[perm[k]] = v[k]
+    return tuple(canon), perm
+
+
+class TestLatticeFrame:
+    def test_catalog_models_match_fraction_reference(self):
+        for name, m in models.catalog_models().items():
+            if m.monoid is not None:
+                assert_frame(m.monoid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations())
+    def test_random_presentations_match_fraction_reference(self, S):
+        assert_frame(S)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_canonical_target_matches_tuple_sort(self, data):
+        S = SYMMETRIC[data.draw(st.sampled_from(sorted(SYMMETRIC)))].monoid
+        v = tuple(data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                     min_size=S.dim, max_size=S.dim)))
+        assert S._canonical_target(v) == tuple_sort_canonical(S, v)

@@ -9,20 +9,25 @@ unexpected verdict, 2 inconclusive at budget, 3 input error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftkit.cli import main
 from sftkit.elements import IntIdeal, int_ideal_two, make_element
 from sftkit.errors import SchemaError
 from sftkit.exponents import ExponentVector
 from sftkit.files import (
+    _lattice_json,
     claim_to_record,
     claims_doc,
     drop_timing,
@@ -67,6 +72,16 @@ class TestJsonify:
                                  "params": {"p": 2, "k": 1}}
         out = jsonify(int_ideal_two())
         assert out["label"] == "(2)" and out["v0"] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-500, max_value=500), min_size=1,
+                    max_size=4),
+           st.integers(min_value=1, max_value=720))
+    def test_lattice_points_read_as_their_exponents(self, v, s0):
+        # the form model records and ideals take straight from lattice
+        # points is that of the exponent vector the point stands for
+        want = jsonify(ExponentVector.from_dense(Fraction(x, s0) for x in v))
+        assert _lattice_json(tuple(v), s0) == want
 
     def test_unencodable_objects_are_an_error(self):
         with pytest.raises(TypeError):
@@ -301,6 +316,9 @@ class TestVerifyCommand:
         "divergence-level-past-cap": (
             "fr2-divergence", lambda r: r["params"].update(levels=[2, 65]),
             "precondition violated: v <= 64 (got 65)"),
+        "divergence-level-past-generator-bound": (
+            "xv-divergence", lambda r: r["params"].update(levels=[2, 12]),
+            "precondition violated: at most 40320 generators (denBound=12 gives 12!)"),
         "elements-on-rank-2": (
             "fr2-strongconv-vacuous",
             lambda r: r["params"].update(elements=["1"]),
@@ -337,6 +355,23 @@ class TestVerifyCommand:
         if rec["kind"] == "divergence":
             # every level is checked before the first one is built
             assert built == []
+
+    def test_oversized_model_record_exits_3_before_building(self, tmp_path):
+        # 12! = 479,001,600 generators: refused from the parameters
+        rec = model_to_record(build_model("rational_valuation", denBound=2))
+        rec["params"] = {"denBound": 12}
+        claim = dataclasses.replace(claim_by_id("xv-sft-gens"), model="big")
+        doc = claims_doc([claim])
+        doc["models"] = {"big": rec}
+        path = tmp_path / "claims.json"
+        path.write_text(dumps_doc(doc))
+        t0 = time.perf_counter()
+        r = CliRunner().invoke(main, ["verify", str(path)])
+        assert time.perf_counter() - t0 < 1.0
+        assert r.exit_code == 3, r.output
+        assert isinstance(r.exception, SystemExit)  # not a crash
+        assert ("models['big'].params: precondition violated: at most 40320 "
+                "generators (denBound=12 gives 12!)") in r.output
 
     def test_verify_unknown_model_reference_exits_3(self, tmp_path):
         import dataclasses

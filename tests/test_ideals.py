@@ -35,6 +35,7 @@ from sftkit.ideals import (
     ideal_power,
     ideal_power_with_provenance,
     ideal_powers,
+    lattice_ideal,
     minimalize,
     monomial_ideal,
     nilpotency_index,
@@ -162,8 +163,8 @@ class TestConstructor:
             monomial_ideal(EVEN_X, [ev(1, 0)])
         assert "monoid" in str(ei.value)
 
-    def test_verify_membership_opt_out(self):
-        I = monomial_ideal(EVEN_X, [ev(1, 0)], verify_membership=False)
+    def test_lattice_ideal_trusts_its_points(self):
+        I = lattice_ideal(EVEN_X, [(1, 0)])
         assert I.gens == (ev(1, 0),)
 
     def test_duplicates_and_redundancy_collapse(self):

@@ -14,7 +14,7 @@ import pytest
 
 from sftkit.budget import Budgets
 from sftkit.errors import PreconditionViolated, UnknownExample
-from sftkit.exponents import ExponentVector
+from sftkit.exponents import MAX_GENS, ExponentVector
 from sftkit.models import (
     FAMILIES,
     build_model,
@@ -104,11 +104,12 @@ class TestConstructors:
 
     BAD_PARAMS = {
         "frobenius_quotient": [{"p": 4}, {"v": 0}, {"v": 65}],
-        "fraction_monoid": [{"v": 1}, {"M": 0}, {"v": 64}],
-        "int_plus_2x": [{"D": 0}],
+        "fraction_monoid": [{"v": 1}, {"M": 0}, {"v": 64}, {"M": 10 ** 6}],
+        "int_plus_2x": [{"D": 0}, {"D": 10 ** 6}],
         "char2_xy": [{"v": 1}, {"v": 64}],
-        "dyadic": [{"nmax": 1}, {"p": 3}],
-        "rational_valuation": [{"denBound": 1}],
+        "dyadic": [{"nmax": 1}, {"p": 3}, {"nmax": 10 ** 6}],
+        "rational_valuation": [{"denBound": 1}, {"denBound": 12},
+                               {"denBound": 10 ** 9}],
     }
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -120,6 +121,25 @@ class TestConstructors:
             with pytest.raises(built.type) as checked:
                 check_model_params(family, **params)
             assert str(checked.value) == str(built.value), params
+
+    def test_generator_bound(self):
+        # MAX_GENS = 8!: rational_valuation reaches it at denBound 8, the
+        # fraction monoid 1 + v(M + 1) at v = 63, M = 638
+        assert MAX_GENS == 40320
+        for family, params in (("rational_valuation", {"denBound": 8}),
+                               ("fraction_monoid", {"v": 63, "M": 638}),
+                               ("int_plus_2x", {"D": 40319}),
+                               ("dyadic", {"nmax": 40319})):
+            assert check_model_params(family, **params) is None
+        for family, params, shown in (
+                ("rational_valuation", {"denBound": 9}, "denBound=9 gives 9!"),
+                ("fraction_monoid", {"v": 63, "M": 639}, "v=63, M=639 gives 40321"),
+                ("int_plus_2x", {"D": 40320}, "D=40320 gives 40321"),
+                ("dyadic", {"nmax": 40320}, "nmax=40320 gives 40321")):
+            with pytest.raises(PreconditionViolated) as ei:
+                check_model_params(family, **params)
+            assert str(ei.value) == ("precondition violated: at most 40320 "
+                                     f"generators ({shown})")
 
     def test_constructors_are_deterministic(self):
         for family, ctor in FAMILIES.items():
