@@ -19,11 +19,8 @@ from .errors import (BudgetExceeded, CombinatorialBudgetExceeded,
                      SampleBudgetExceeded, SchemaError, SearchBudgetExceeded,
                      SftkitError, TruncationTooSmall, UnknownExample,
                      UnsupportedIdeal, UnsupportedModel)
-from .exponents import (ExponentVector, MonoidMembershipWitness,
-                        MonoidPresentation, scalar_multiple)
-from .ideals import (MonomialIdeal, ideal_contains, ideal_contains_witness,
-                     ideal_member, ideal_power, monomial_ideal,
-                     nilpotency_index, radical_member)
+from .exponents import ExponentVector, MonoidMembershipWitness, MonoidPresentation
+from .ideals import MonomialIdeal, ideal_member, monomial_ideal
 from .elements import (CharPMonoidRing, DyadicRing, Int2xRing, IntIdeal,
                        PolyElement, element_add, element_in_ideal,
                        element_multiply, element_power, element_scale,

@@ -172,9 +172,12 @@ def verify(claimfile, seed, fmt, output, budget_profile, budget_nodes,
         if claimfile == "catalog":
             models, claims = builtin_catalog()
         else:
-            extra, claims = parse_claims_doc(load_json(claimfile),
-                                             where=claimfile)
-            models = {**catalog_models(), **extra}
+            models, claims = parse_claims_doc(load_json(claimfile),
+                                              where=claimfile)
+            # the catalog's models back a claim that names one the file
+            # does not define (and an unknown name lists them all)
+            if any(c.model and c.model not in models for c in claims):
+                models = {**catalog_models(), **models}
     except SftkitError as exc:
         _input_error(exc)
     results = run_suite(claims, models=models, seed=seed, budgets=budgets)

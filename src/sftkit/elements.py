@@ -279,11 +279,6 @@ class PolyElement:
     def max_tdeg(self) -> int:
         return self.stored[-1][0][1] if self.stored else 0
 
-    def max_xdeg(self) -> int:
-        if not isinstance(self.ring, Int2xRing):
-            raise UnsupportedIdeal("x-degree only exists in the integer model")
-        return _max_xdeg(self.stored)
-
     def __repr__(self):
         if self.is_zero:
             return "Poly(0)"

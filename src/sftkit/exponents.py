@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import _search_py
 from .budget import SearchContext
@@ -138,13 +138,6 @@ class ExponentVector:
         return f"EV({body})@{self.dim}"
 
 
-def scalar_multiple(e: ExponentVector, k: int) -> ExponentVector:
-    """Exponent of the k-th power of a monomial; k must be >= 0."""
-    if k < 0:
-        raise PreconditionViolated("k >= 0", f"got {k}")
-    return e.scale(k)
-
-
 @dataclass(frozen=True)
 class MonoidMembershipWitness:
     """Multiplicities of generators summing to the target, sparse over
@@ -152,17 +145,11 @@ class MonoidMembershipWitness:
 
     counts: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
     def resum(self, S: "MonoidPresentation") -> ExponentVector:
         acc = ExponentVector.zero(S.dim)
         for idx, c in self.counts:
             acc = acc + S.gens[idx].scale(c)
         return acc
-
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
 
 
 # kill specs describe which monomials are identified with zero in a
@@ -458,8 +445,7 @@ class MonoidPresentation:
         counts, query, perm = found
         pack = self._pack
         if counts is None:
-            counts = _rank1_counts(query[0], pack["gens_int"],
-                                   self._rank1_table(query[0], ctx))
+            counts = _rank1_counts(query[0], pack["gens_int"])
         order = pack["order"]
         scaled = pack["scaled"]
         pairs = sorted((order[j], c) for j, c in enumerate(counts) if c)
@@ -512,9 +498,9 @@ class MonoidPresentation:
         query, perm = self._canonical_target(v)
         if self.dim == 1 and 0 <= query[0] <= _RANK1_BOUND:
             a = query[0]
-            suffix = self._rank1_table(a, ctx)
+            bits = self._rank1_table(a, ctx)
             ctx.charge_nodes(1)
-            if not (suffix[0] >> a) & 1:
+            if not (bits >> a) & 1:
                 return None
             counts = None
         else:
@@ -531,7 +517,7 @@ class MonoidPresentation:
 
     def _ctx_tables(self, ctx: SearchContext) -> dict:
         """This presentation's search tables in the context: the rank-1
-        reachability bitsets (and the ideal layer's byte copy) and the search
+        reachability bitset (and the ideal layer's byte copy) and the search
         memo."""
         slot = ctx.tables.get(id(self))
         if slot is None or slot[0] is not self:
@@ -539,47 +525,31 @@ class MonoidPresentation:
             ctx.tables[id(self)] = slot
         return slot[1]
 
-    def _rank1_table(self, a: int, ctx: SearchContext) -> list:
+    def _rank1_table(self, a: int, ctx: SearchContext) -> int:
         """Numerical-semigroup membership by bitset dynamic programming.
 
-        suffix[i] is the reachability bitset of the generator suffix i..end
-        (bit v set when v is a sum from that suffix). A context's table
-        covers its largest query so far and grows geometrically, so a whole
-        batch of queries against the same monoid costs one table. Each
-        context is charged for its table as if it built it, but the table
-        at the least bound, _RANK1_MIN, is built once per presentation and
-        shared. Returns a table covering a.
+        The context keeps one reachability bitset of S, (bound, bits) under
+        "rank1": bit v set when v <= bound is a sum of generators. It covers
+        the context's largest query so far and grows geometrically, so a
+        whole batch of queries against the same monoid costs one table.
+        Each context is charged for its table as if it built it, one pass
+        per generator, but the table at the least bound, _RANK1_MIN, is
+        built once per presentation and shared. Returns a bitset covering a.
         """
         cache = self._ctx_tables(ctx)
         entry = cache.get("rank1")
         if entry is None or entry[0] < a:
             bound = max(a, _RANK1_MIN, 0 if entry is None else 2 * entry[0])
-            suffix = (self._rank1_base if bound == _RANK1_MIN
-                      else self._rank1_build(bound))
-            ctx.charge_nodes((len(suffix) - 1) * max(1, bound.bit_length()))
-            entry = (bound, suffix)
+            bits = (self._rank1_base if bound == _RANK1_MIN
+                    else _rank1_build(self._pack["gens_int"], bound))
+            ctx.charge_nodes(len(self.gens) * max(1, bound.bit_length()))
+            entry = (bound, bits)
             cache["rank1"] = entry
         return entry[1]
 
     @cached_property
-    def _rank1_base(self) -> list:
-        return self._rank1_build(_RANK1_MIN)
-
-    def _rank1_build(self, bound: int) -> list:
-        """The suffix reachability bitsets up to bound."""
-        gvals = tuple(g[0] for g in self._pack["gens_int"])
-        n = len(gvals)
-        mask = (1 << (bound + 1)) - 1
-        suffix = [0] * (n + 1)
-        cur = 1
-        suffix[n] = cur
-        for i in range(n - 1, -1, -1):
-            s = gvals[i]
-            while s <= bound:
-                cur |= (cur << s) & mask
-                s <<= 1
-            suffix[i] = cur
-        return suffix
+    def _rank1_base(self) -> int:
+        return _rank1_build(self._pack["gens_int"], _RANK1_MIN)
 
 
 def _resum(terms, dim: int) -> tuple:
@@ -592,10 +562,35 @@ def _resum(terms, dim: int) -> tuple:
     return tuple(acc)
 
 
-def _rank1_counts(a: int, gens_int, suffix: list) -> list:
-    """The witness of a rank-1 member a, read off the reachability table:
-    the largest count for each generator in turn, the depth-first search's
+def _rank1_suffixes(gens_int, bound: int) -> Iterator[int]:
+    """The reachability bitsets of the rank-1 generator suffixes up to
+    bound, last generator first: the k-th one yielded (from 0) has bit v
+    set when v <= bound is a sum of gens_int[n - 1 - k:]. The last one is
+    the bitset of the whole monoid."""
+    mask = (1 << (bound + 1)) - 1
+    cur = 1
+    for (g,) in reversed(gens_int):
+        s = g
+        while s <= bound:
+            cur |= (cur << s) & mask
+            s <<= 1
+        yield cur
+
+
+def _rank1_build(gens_int, bound: int) -> int:
+    """The reachability bitset of the rank-1 monoid up to bound."""
+    bits = 1
+    for bits in _rank1_suffixes(gens_int, bound):
+        pass
+    return bits
+
+
+def _rank1_counts(a: int, gens_int) -> list:
+    """The witness of a rank-1 member a, read off the suffix reachability
+    bitsets up to a, which are built for this read-off and dropped: the
+    largest count for each generator in turn, the depth-first search's
     lexicographically largest contract."""
+    suffix = [*_rank1_suffixes(gens_int, a)][::-1] + [1]  # of gens_int[i:]
     counts = [0] * len(gens_int)
     rem = a
     for i, (g,) in enumerate(gens_int):

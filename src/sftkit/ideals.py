@@ -1,24 +1,25 @@
 """Monomial-ideal algebra over a monoid presentation: membership, products,
-powers, containment, radical membership, and nilpotency indices.
+powers, radical indices, and the least power inside a sub-ideal.
 
 Ideals are kept with a canonical minimal generator list (ascending weight,
 then lexicographic). Minimality under divisibility is decidable here because
 the grading is positive: a divisor is strictly lighter, so one ascending pass
 with a weight-gap prefilter settles it with very few membership searches.
 
-Below the public edges (generator lists, membership targets and provenance
-keys, all ExponentVector) the layer works in the monoid's lattice frame:
-integer tuples equal to the exponent times the presentation's denominator
-bound, with integer weights (MonoidPresentation.to_lattice). A MonomialIdeal
-stores its generators as lattice points, so building, multiplying and
-comparing ideals never leaves the frame; `gens` is the ExponentVector view.
-Each power step sums the previous power's generators with the base's: as a
-pair loop, or in rank 1 as a bitset sumset with the same result.
+Below the public edges (monomial_ideal's generators, ideal_member's target
+and ideal_power_with_provenance's keys, all ExponentVector) the layer works
+in the monoid's lattice frame: integer tuples equal to the exponent times
+the presentation's denominator bound, with integer weights
+(MonoidPresentation.to_lattice). A MonomialIdeal stores its generators as
+lattice points, so building, multiplying and comparing ideals never leaves
+the frame; `gens` is the ExponentVector view. Each power step sums the
+previous power's generators with the base's: as a pair loop, or in rank 1 as
+a bitset sumset with the same result.
 
 Membership of a point in an ideal loops over the generators g, lightest
 first, asking whether the point minus g is in the monoid. In rank 1 the
 loop is answered from the ideal's generator bitsets and a byte copy of the
-context's reachability table, charging the nodes the loop would
+context's one reachability bitset, charging the nodes the loop would
 (_rank1_member); first_pair_outside scans generator pairs by shifts for
 the witness search in the same way.
 
@@ -32,7 +33,9 @@ monomial keys (x-degree, coefficient); its `products` enumerates multisets
 of generators in lexicographic order and multiplies each shared prefix
 once.
 least_power_inside decides the least n with I^n ⊆ B on either kind through
-that protocol, without building a full power.
+that protocol, without building a full power. Whole-ideal questions go
+through the same protocol: J ⊆ I is I.contains on each of J's generators,
+and the least k with x^k in B is B.radical_index.
 """
 
 from __future__ import annotations
@@ -54,9 +57,8 @@ class MonomialIdeal:
     Construct through monomial_ideal() (ExponentVector generators, each
     checked to lie in the monoid) or lattice_ideal() (lattice points known
     to), which normalize to the canonical minimal form; the raw constructor
-    trusts its input. `gens` is the
-    read-only view with ExponentVector generators that reports, repr and
-    the public functions below show.
+    trusts its input. `gens` is the read-only view with ExponentVector
+    generators that reports and ideal_power_with_provenance show.
     """
 
     monoid: MonoidPresentation
@@ -128,8 +130,15 @@ class MonomialIdeal:
 
     def radical_index(self, v: tuple, kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:
-        """radical_member for a lattice point."""
-        _check_kmax(kmax)
+        """Least k <= kmax with k·v in the ideal, or None; kmax must be at
+        least 1.
+
+        None decides nothing for a nonzero v: a larger multiple might still
+        land in the ideal. The zero point is its own every multiple, so it
+        is tested once and None then means no power of it lies inside.
+        """
+        if kmax < 1:
+            raise PreconditionViolated("kmax >= 1", f"got {kmax}")
         if ctx is None:
             ctx = SearchContext()
         for k in range(1, (kmax if any(v) else 1) + 1):
@@ -299,7 +308,7 @@ def _rank1_member(I: MonomialIdeal, a: int, ctx: SearchContext) -> Optional[bool
     if nonzero is None or nonzero[0] is not table:
         L = table[0]
         nonzero = tables["rank1_bytes"] = (
-            table, (table[1][0] & ~1).to_bytes((L >> 3) + 1, "little"))
+            table, (table[1] & ~1).to_bytes((L >> 3) + 1, "little"))
     lo = a - gmax  # bit k of window: table bit lo + k, generator gmax - k
     first = lo if lo > 0 else 0
     window = int.from_bytes(nonzero[1][first >> 3:((a - g0) >> 3) + 1],
@@ -314,25 +323,6 @@ def _rank1_member(I: MonomialIdeal, a: int, ctx: SearchContext) -> Optional[bool
         left = ctx.budgets.search_nodes - ctx.nodes_used
         ctx.charge_nodes(n if n <= left else max(1, left + 1))
     return found
-
-
-def ideal_contains_witness(I: MonomialIdeal, J: MonomialIdeal,
-                           ctx: Optional[SearchContext] = None) -> Optional[ExponentVector]:
-    """First generator of J (canonical order) outside I, or None when J ⊆ I."""
-    if I.monoid is not J.monoid and I.monoid != J.monoid:
-        raise PreconditionViolated("same owning monoid")
-    if ctx is None:
-        ctx = SearchContext()
-    for v in J.generators:
-        if not ideal_lattice_member(I, v, ctx):
-            return J.monoid.from_lattice(v)
-    return None
-
-
-def ideal_contains(I: MonomialIdeal, J: MonomialIdeal,
-                   ctx: Optional[SearchContext] = None) -> bool:
-    """True iff J ⊆ I (every generator of J passes ideal_member)."""
-    return ideal_contains_witness(I, J, ctx) is None
 
 
 def _pair_sums(layer: list, base: tuple) -> dict:
@@ -473,22 +463,6 @@ def _power(I: MonomialIdeal, m: int, ctx: Optional[SearchContext]
     return power, layer
 
 
-def _edge_provenance(power: MonomialIdeal, layer: dict) -> dict:
-    return dict(zip(power.gens, layer.values()))
-
-
-def ideal_powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
-                 ) -> Iterator[tuple[int, MonomialIdeal, dict[ExponentVector, tuple[int, ...]]]]:
-    """(m, I^m, provenance) for m = 1..mmax, each power minimalize(I^(m-1)·I).
-
-    provenance maps each generator of I^m to one factorization into indices
-    of I's generators (deterministic: first seen in canonical order). A step
-    is enumerated and charged only when the consumer asks for it.
-    """
-    for m, power, layer in _powers(I, mmax, ctx):
-        yield m, power, _edge_provenance(power, layer)
-
-
 def ideal_power_with_provenance(I: MonomialIdeal, m: int,
                                 ctx: Optional[SearchContext] = None
                                 ) -> tuple[MonomialIdeal, dict[ExponentVector, tuple[int, ...]]]:
@@ -496,47 +470,7 @@ def ideal_power_with_provenance(I: MonomialIdeal, m: int,
     indices of I's generators (deterministic: first seen in canonical order).
     """
     power, layer = _power(I, m, ctx)
-    return power, _edge_provenance(power, layer)
-
-
-def ideal_power(I: MonomialIdeal, m: int,
-                ctx: Optional[SearchContext] = None) -> MonomialIdeal:
-    """The ideal generated by all m-fold products of generators, minimalized."""
-    return _power(I, m, ctx)[0]
-
-
-def _check_kmax(kmax: int) -> None:
-    if kmax < 1:
-        raise PreconditionViolated("kmax >= 1", f"got {kmax}")
-
-
-def radical_member(B: MonomialIdeal, target: ExponentVector, kmax: int,
-                   ctx: Optional[SearchContext] = None) -> Optional[int]:
-    """Least k <= kmax with k*target in B, or None.
-
-    None decides nothing for a nonzero target: a larger power might still
-    land in B. The zero exponent vector is its own every power, so it is
-    tested once and None then means no power lies in B.
-    """
-    _check_kmax(kmax)
-    if ctx is None:
-        ctx = SearchContext()
-    for k in range(1, (1 if target.is_zero else kmax) + 1):
-        if ideal_member(B, target.scale(k), ctx):
-            return k
-    return None
-
-
-def nilpotency_index(I: MonomialIdeal, B: MonomialIdeal, mmax: int,
-                     ctx: Optional[SearchContext] = None) -> Optional[int]:
-    """Least m <= mmax with I^m ⊆ B, or None. Requires B ⊆ I."""
-    if mmax < 1:
-        raise PreconditionViolated("mmax >= 1", f"got {mmax}")
-    if ctx is None:
-        ctx = SearchContext()
-    if not ideal_contains(I, B, ctx):
-        raise PreconditionViolated("B ⊆ I", "the sub-ideal is not inside the ideal")
-    return least_power_inside(I, B, mmax, ctx)
+    return power, dict(zip(power.gens, layer.values()))
 
 
 def least_power_inside(I, B, cap: int, ctx: SearchContext) -> Optional[int]:

@@ -90,7 +90,14 @@ def _check_gens(count: int, params: str) -> None:
 # each family's parameter checks: its constructor runs them before it builds
 # anything, and check_model_params runs them without building (MAX_DIM keeps
 # frobenius_quotient and char2_xy, with v and 1 + 2v generators, far below
-# MAX_GENS)
+# MAX_GENS, and MAX_DYADIC_NMAX keeps dyadic's 1 + nmax there too)
+
+# cap on dyadic's nmax: its generators n + 2^-n put the lattice scale at
+# 2^nmax, and the build time about doubles every two steps (on a 2-core
+# host, Python 3.11: nmax 20 takes 0.06 s, 24 0.14 s, 28 0.38 s, 30 0.57 s;
+# nmax 50 took about 17 s). A sanity bound on model size like MAX_GENS, not
+# a setting: a larger nmax is refused before anything is built.
+MAX_DYADIC_NMAX = 24
 
 
 def _check_frobenius(p: int, v: int) -> None:
@@ -116,7 +123,8 @@ def _check_char2_xy(v: int, D: int) -> None:
 
 def _check_dyadic(nmax: int) -> None:
     _at_least("nmax", nmax, 2)
-    _check_gens(1 + nmax, f"nmax={nmax}")
+    if nmax > MAX_DYADIC_NMAX:
+        raise PreconditionViolated(f"nmax <= {MAX_DYADIC_NMAX}", f"got {nmax}")
 
 
 def _check_rational_valuation(denBound: int) -> None:

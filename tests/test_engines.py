@@ -15,6 +15,7 @@ a count drift even when the verdict stays correct.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -24,6 +25,7 @@ from sftkit import exponents
 from sftkit.budget import Budgets, SearchContext
 from sftkit.errors import SearchBudgetExceeded
 from sftkit.exponents import ExponentVector, MonoidPresentation
+from sftkit.models import build_model
 
 FOUND = pure.FOUND
 NOT_MEMBER = pure.NOT_MEMBER
@@ -324,6 +326,21 @@ class TestDecisionRoute:
 
 
 class TestRankOneReadOff:
+    def test_large_query_keeps_one_bitset(self):
+        # the context keeps one reachability bitset (2^20 bits) and its
+        # byte copy, not a bitset per generator suffix (121 of them here)
+        I = build_model("rational_valuation", denBound=5).ideal("x")
+        ctx = SearchContext()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert I.contains((2 ** 20,), ctx)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        assert ctx.nodes_used == 2401
+
     @pytest.mark.parametrize("values", [(3, 5, 7), (5, 7, 9)])
     def test_bitset_witness_matches_search(self, values):
         # member() reads a rank-1 witness off the reachability bitset; the
@@ -334,7 +351,9 @@ class TestRankOneReadOff:
         pack = R._pack
         order = pack["order"]
         memo = {}
-        for a in range(201):
+        # past the least table (4,096 bits) the read-off runs on suffix
+        # bitsets built to the target, not on the context's table
+        for a in [*range(201), 4095, 4096, 4097, 5000, 9999, 10_001, 65_537]:
             got = R.member(ExponentVector.from_dense([a]))
             status, counts, _ = pure.run_search(
                 pack["gens_int"], pack["weights_int"], *pack["tables"], (a,),
@@ -342,7 +361,7 @@ class TestRankOneReadOff:
             if status == NOT_MEMBER:
                 assert got is None, a
             else:
-                assert got is not None and got.as_dict() == {
+                assert got is not None and dict(got.counts) == {
                     order[j]: c for j, c in enumerate(counts) if c}, a
 
 

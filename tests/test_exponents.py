@@ -13,7 +13,7 @@ from sftkit import models
 from sftkit._search_py import drop_infeasible
 from sftkit.budget import Budgets, SearchContext
 from sftkit.errors import PreconditionViolated, SearchBudgetExceeded
-from sftkit.exponents import ExponentVector, MonoidPresentation, scalar_multiple
+from sftkit.exponents import ExponentVector, MonoidPresentation
 
 EV = ExponentVector.from_dense
 
@@ -94,10 +94,6 @@ class TestExponentVector:
         e = EV(vals)
         assert e.scale(k).dense() == tuple(v * k for v in e.dense())
 
-    def test_scalar_multiple_rejects_negative(self):
-        with pytest.raises(PreconditionViolated):
-            scalar_multiple(EV([1]), -1)
-
     def test_entry_and_tdeg(self):
         e = EV([0, Fraction(3, 2), -1])
         assert e.entry(0) == 0
@@ -148,7 +144,7 @@ class TestMembershipOracle:
                     want = brute_member(S.gens, S.weights, t, memo)
                     assert (got is not None) == want, (c, a, b)
                     # no interchangeable coordinates: exactly lex-largest
-                    assert (got and got.as_dict()) == lex_largest_witness(
+                    assert (got and dict(got.counts)) == lex_largest_witness(
                         S, t), (c, a, b)
 
     @settings(max_examples=60, deadline=None)
@@ -168,7 +164,7 @@ class TestMembershipOracle:
         got = S.member(t)
         assert (got is not None) == brute_member(S.gens, S.weights, t)
         # unequal weights, so no interchangeable coordinates
-        assert (got and got.as_dict()) == lex_largest_witness(S, t)
+        assert (got and dict(got.counts)) == lex_largest_witness(S, t)
 
     def test_witness_resums(self):
         S = presentation([1, 0], [1, -2], [0, 1],
@@ -186,7 +182,7 @@ class TestMembershipOracle:
         for t in ([4, 2], [3, 1], [5, 0], [2, 2]):
             got = S.member(EV(t))
             want = lex_largest_witness(S, EV(t))
-            assert got is not None and got.as_dict() == want
+            assert got is not None and dict(got.counts) == want
 
     def test_zero_target(self):
         S = presentation([1, 1])
@@ -320,7 +316,7 @@ class TestRankOne:
         w = S.member(EV([12]))
         # weight order puts 3 first; lex-largest takes as many of it as
         # possible
-        assert w.as_dict() == lex_largest_witness(S, EV([12])) == {0: 4}
+        assert dict(w.counts) == lex_largest_witness(S, EV([12])) == {0: 4}
 
     def test_witness_resums(self):
         S = presentation([Fraction(721, 720)], [Fraction(719, 720)])

@@ -374,13 +374,32 @@ class TestVerifyCommand:
                 "generators (denBound=12 gives 12!)") in r.output
 
     def test_verify_unknown_model_reference_exits_3(self, tmp_path):
-        import dataclasses
         missing = dataclasses.replace(claim_by_id("fr2-sft-gens"),
                                       model="no_such_model")
         path = write_claims(tmp_path, [missing])
         r = CliRunner().invoke(main, ["verify", path])
         assert r.exit_code == 3
         assert "err" in r.output
+        # the error lists the catalog's models, built for this claim only
+        r = CliRunner().invoke(main, ["verify", path, "--format", "machine"])
+        assert r.exit_code == 3
+        assert json.loads(r.output)["error"] == (
+            "UnknownExample: unknown example 'no_such_model'; available: "
+            + ", ".join(sorted(catalog_models())))
+
+    def test_verify_file_with_its_own_models_builds_no_catalog(
+            self, tmp_path, monkeypatch):
+        claim = claim_by_id("fr2v2-sft-idx3-exhaustive")
+        models = {claim.model: catalog_models()[claim.model]}
+        path = write_claims(tmp_path, [claim], models=models)
+
+        def refuse():
+            raise AssertionError("catalog built for a file that needs none")
+
+        monkeypatch.setattr("sftkit.cli.catalog_models", refuse)
+        r = CliRunner().invoke(main, ["verify", path, "--format", "machine"])
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.output)["ok"] is True
 
     def test_verify_machine_output_is_deterministic(self, tmp_path):
         path = write_claims(tmp_path, [claim_by_id(i) for i in CHEAP_IDS])

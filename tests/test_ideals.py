@@ -28,18 +28,13 @@ from sftkit.ideals import (
     _pair_sums,
     _rank1_sums,
     first_pair_outside,
-    ideal_contains,
-    ideal_contains_witness,
     ideal_lattice_member,
     ideal_member,
-    ideal_power,
     ideal_power_with_provenance,
-    ideal_powers,
     lattice_ideal,
+    least_power_inside,
     minimalize,
     monomial_ideal,
-    nilpotency_index,
-    radical_member,
 )
 
 
@@ -230,19 +225,24 @@ class TestIdealMember:
         assert ideal_member(I, ev(2, 5))
 
 
+def contains(I, J) -> bool:
+    """J ⊆ I: every generator of J is in I."""
+    return all(I.contains(v) for v in J.generators)
+
+
 class TestContainment:
     def test_reflexive_and_product_chain(self):
         I = monomial_ideal(ORTHANT, [ev(1, 0), ev(0, 1)])
-        assert ideal_contains(I, I)
-        sq = ideal_power(I, 2)
-        assert ideal_contains(I, sq)
-        assert not ideal_contains(sq, I)
+        assert contains(I, I)
+        sq = I.power(2)
+        assert contains(I, sq)
+        assert not contains(sq, I)
 
     def test_witness_is_first_uncontained_generator(self):
         I = monomial_ideal(ORTHANT, [ev(2, 0)])
         J = monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)])
-        w = ideal_contains_witness(I, J)
-        assert w == ev(1, 1)  # (2,0) is contained; (1,1) is the first failure
+        w = next(v for v in J.generators if not I.contains(v))
+        assert w == (1, 1)  # (2,0) is contained; (1,1) is the first failure
 
     def test_mutual_containment_means_equal_generators(self):
         rng = random.Random(5)
@@ -250,14 +250,8 @@ class TestContainment:
         for _ in range(40):
             I = monomial_ideal(ORTHANT, rng.sample(pool, 3))
             J = monomial_ideal(ORTHANT, rng.sample(pool, 3))
-            if ideal_contains(I, J) and ideal_contains(J, I):
+            if contains(I, J) and contains(J, I):
                 assert I.gens == J.gens
-
-    def test_cross_monoid_comparison_rejected(self):
-        I = monomial_ideal(ORTHANT, [ev(1, 0)])
-        J = monomial_ideal(EVEN_X, [ev(2, 0)])
-        with pytest.raises(PreconditionViolated):
-            ideal_contains(I, J)
 
 
 def oracle_power_gens(S, elements, I, m):
@@ -332,14 +326,12 @@ class TestLatticeFrame:
     @pytest.mark.parametrize("name,I", list(power_pairs()),
                              ids=[n for n, _ in power_pairs()])
     def test_powers_match_fraction_reference(self, name, I):
-        ctx = SearchContext()
         ref = reference_powers(I, 4)
-        for (m, P, prov), (want_gens, want_prov) in zip(
-                ideal_powers(I, 4, ctx), ref):
+        for m, (want_gens, want_prov) in enumerate(ref, 1):
+            P, prov = ideal_power_with_provenance(I, m)
             assert list(P.gens) == want_gens, (name, m)
             assert list(prov.items()) == list(want_prov.items()), (name, m)
-            Q, qprov = ideal_power_with_provenance(I, m)
-            assert Q.gens == P.gens and qprov == prov
+            assert I.power(m) == P
         assert m == 4
 
     def test_each_power_enumerated_once(self):
@@ -347,12 +339,10 @@ class TestLatticeFrame:
         # pair loop, not the shifts it does
         for I in (monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)]),
                   monomial_ideal(NUMERICAL, [ev(3), ev(5), ev(7)])):
+            sizes = [len(I.power(m).gens) for m in (1, 2, 3)]
             ctx = SearchContext()
-            sizes = [len(P.gens) for _, P, _ in ideal_powers(I, 4, ctx)]
-            assert ctx.multisets_used == sum(n * len(I.gens) for n in sizes[:-1])
-            one = SearchContext()
-            ideal_power(I, 4, one)
-            assert one.multisets_used == ctx.multisets_used
+            I.power(4, ctx)
+            assert ctx.multisets_used == sum(n * len(I.gens) for n in sizes)
 
     def test_rank1_sums_match_pair_loop(self):
         rng = random.Random(7)
@@ -391,7 +381,7 @@ class TestLatticeFrame:
     def test_ideal_built_two_ways_is_equal(self):
         for I in (monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)]),
                   monomial_ideal(NUMERICAL, [ev(5), ev(7)])):
-            P = ideal_power(I, 3)
+            P = I.power(3)
             Q = monomial_ideal(I.monoid, P.gens, label=P.label)
             assert P == Q and hash(P) == hash(Q)
             assert all(type(x) is int for v in Q.generators for x in v)
@@ -419,7 +409,7 @@ class TestLatticeFrame:
 class TestIdealPower:
     def test_power_one_is_identity(self):
         I = monomial_ideal(ORTHANT, [ev(1, 1)])
-        assert ideal_power(I, 1) is I
+        assert I.power(1) is I
 
     def test_power_matches_oracle(self):
         elements = enumerate_monoid(ORTHANT, 40)
@@ -428,7 +418,7 @@ class TestIdealPower:
         for _ in range(15):
             I = monomial_ideal(ORTHANT, rng.sample(pool, rng.randint(1, 3)))
             for m in (2, 3, 4):
-                got = set(ideal_power(I, m).gens)
+                got = set(I.power(m).gens)
                 assert got == oracle_power_gens(ORTHANT, elements, I, m), (I.gens, m)
 
     def test_provenance_factorizations_resum(self):
@@ -447,13 +437,13 @@ class TestIdealPower:
         I = monomial_ideal(MIXED, [ev(1, 0, -1), ev(0, 1, 1)])
         prev = I
         for m in (2, 3):
-            cur = ideal_power(I, m)
-            assert ideal_contains(prev, cur)
+            cur = I.power(m)
+            assert contains(prev, cur)
             prev = cur
 
     def test_power_of_zero_ideal(self):
         Z = monomial_ideal(ORTHANT, [])
-        assert ideal_power(Z, 3).is_zero
+        assert Z.power(3).is_zero
 
     def test_bad_exponent_rejected(self):
         I = monomial_ideal(ORTHANT, [ev(1, 0)])
@@ -464,7 +454,7 @@ class TestIdealPower:
         I = monomial_ideal(ORTHANT, [ev(3, 0), ev(2, 1), ev(1, 2), ev(0, 3)])
         ctx = SearchContext(Budgets(multisets=5))
         with pytest.raises(CombinatorialBudgetExceeded):
-            ideal_power(I, 4, ctx)
+            I.power(4, ctx)
 
 
 class TestRadical:
@@ -474,7 +464,7 @@ class TestRadical:
         for a in range(4):
             for b in range(4):
                 t = ev(a, b)
-                k = radical_member(B, t, 8)
+                k = B.radical_index((a, b), 8)
                 ks = [k for k in range(1, 9)
                       if oracle_ideal_member(ORTHANT, elements, B.gens, t.scale(k))]
                 # no index: the zero vector is refuted, anything else is
@@ -483,55 +473,44 @@ class TestRadical:
 
     def test_k_is_minimal(self):
         B = monomial_ideal(ORTHANT, [ev(4, 0)])
-        assert radical_member(B, ev(1, 0), 10) == 4
-        assert radical_member(B, ev(2, 0), 10) == 2
+        assert B.radical_index((1, 0), 10) == 4
+        assert B.radical_index((2, 0), 10) == 2
 
     def test_kmax_cutoff_is_inconclusive_not_refuted(self):
         B = monomial_ideal(ORTHANT, [ev(4, 0)])
-        assert radical_member(B, ev(1, 0), 3) is None
+        assert B.radical_index((1, 0), 3) is None
 
     def test_zero_exponent_decided_outright(self):
         B = monomial_ideal(ORTHANT, [ev(1, 0)])
-        assert radical_member(B, ExponentVector.zero(2), 5) is None
+        assert B.radical_index((0, 0), 5) is None
         unit = monomial_ideal(ORTHANT, [ExponentVector.zero(2)])
-        assert radical_member(unit, ExponentVector.zero(2), 5) == 1
+        assert unit.radical_index((0, 0), 5) == 1
 
     def test_bad_kmax_rejected(self):
         B = monomial_ideal(ORTHANT, [ev(1, 0)])
         with pytest.raises(PreconditionViolated):
-            radical_member(B, ev(1, 0), 0)
+            B.radical_index((1, 0), 0)
 
 
 class TestNilpotency:
     def test_known_indices_for_power_subideals(self):
         I = monomial_ideal(ORTHANT, [ev(1, 0), ev(0, 1)])
         for m in (1, 2, 3):
-            B = ideal_power(I, m)
-            assert nilpotency_index(I, B, 5) == m
+            B = I.power(m)
+            assert least_power_inside(I, B, 5, SearchContext()) == m
 
     def test_truncation_makes_maximal_ideal_nilpotent(self):
         # entries cap at 2, so any 5-fold product of x, y has a coordinate >= 3
         S = presentation((1, 0), (0, 1), kill=("entry_ge", 3))
         I = monomial_ideal(S, [ev(1, 0), ev(0, 1)])
         Z = monomial_ideal(S, [])
-        assert nilpotency_index(I, Z, 8) == 5
+        assert least_power_inside(I, Z, 8, SearchContext()) == 5
 
     def test_mmax_cutoff_inconclusive(self):
         S = presentation((1, 0), (0, 1), kill=("entry_ge", 3))
         I = monomial_ideal(S, [ev(1, 0), ev(0, 1)])
         Z = monomial_ideal(S, [])
-        assert nilpotency_index(I, Z, 4) is None
-
-    def test_requires_subideal(self):
-        I = monomial_ideal(ORTHANT, [ev(2, 0)])
-        B = monomial_ideal(ORTHANT, [ev(0, 1)])
-        with pytest.raises(PreconditionViolated):
-            nilpotency_index(I, B, 3)
-
-    def test_bad_mmax_rejected(self):
-        I = monomial_ideal(ORTHANT, [ev(1, 0)])
-        with pytest.raises(PreconditionViolated):
-            nilpotency_index(I, I, 0)
+        assert least_power_inside(I, Z, 4, SearchContext()) is None
 
 
 # ---------------------------------------------------------------------------

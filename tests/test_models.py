@@ -129,17 +129,21 @@ class TestConstructors:
         for family, params in (("rational_valuation", {"denBound": 8}),
                                ("fraction_monoid", {"v": 63, "M": 638}),
                                ("int_plus_2x", {"D": 40319}),
-                               ("dyadic", {"nmax": 40319})):
+                               ("dyadic", {"nmax": 24})):
             assert check_model_params(family, **params) is None
         for family, params, shown in (
                 ("rational_valuation", {"denBound": 9}, "denBound=9 gives 9!"),
                 ("fraction_monoid", {"v": 63, "M": 639}, "v=63, M=639 gives 40321"),
-                ("int_plus_2x", {"D": 40320}, "D=40320 gives 40321"),
-                ("dyadic", {"nmax": 40320}, "nmax=40320 gives 40321")):
+                ("int_plus_2x", {"D": 40320}, "D=40320 gives 40321")):
             with pytest.raises(PreconditionViolated) as ei:
                 check_model_params(family, **params)
             assert str(ei.value) == ("precondition violated: at most 40320 "
                                      f"generators ({shown})")
+        # dyadic's 1 + nmax generators stay far below MAX_GENS; its build
+        # time grows with the lattice scale 2^nmax, so nmax has its own cap
+        with pytest.raises(PreconditionViolated) as ei:
+            check_model_params("dyadic", nmax=25)
+        assert str(ei.value) == "precondition violated: nmax <= 24 (got 25)"
 
     def test_constructors_are_deterministic(self):
         for family, ctor in FAMILIES.items():
