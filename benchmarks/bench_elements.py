@@ -14,8 +14,8 @@ import argparse
 import time
 
 from sftkit.budget import Budgets, SearchContext
-from sftkit.elements import (element_multiply, int_ideal_full, make_element,
-                             random_element)
+from sftkit.elements import (DyadicRing, element_multiply, int_ideal_full,
+                             make_element, random_element)
 from sftkit.models import catalog_models
 
 # regime -> (catalog model, ideal whose generators make the operands)
@@ -30,7 +30,8 @@ SAMPLES = 200
 
 def operand(model, ideal: str, k: int, shift: int):
     """A k-term element: ideal generators and their pairwise sums (x^j for
-    the integer model), unit coefficients, t-degrees 0 and 1."""
+    the integer model; one per exponent class mod 1 for the dyadic ring),
+    unit coefficients, t-degrees 0 and 1."""
     ring = model.ring
     if model.is_integer_model:
         terms = [((j + shift, j % 2), 2 * (j + 1)) for j in range(k)]
@@ -38,6 +39,13 @@ def operand(model, ideal: str, k: int, shift: int):
         gens = model.ideal(ideal).gens
         pool = sorted(set(gens) | {a + b for a in gens for b in gens},
                       key=lambda e: (sum(e.dense()), e.dense()))
+        if isinstance(ring, DyadicRing):
+            # a dyadic element has one term per exponent class mod 1, so
+            # keep the least point of each class
+            classes = {}
+            for e in pool:
+                classes.setdefault(e.dense()[0] % 1, e)
+            pool = list(classes.values())
         unit = 1 if model.char.value == 2 else 1 + shift % 2
         terms = [((e, j % 2), unit) for j, e in enumerate(pool[shift:shift + k])]
     f = make_element(ring, terms)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import (CombinatorialBudgetExceeded, SampleBudgetExceeded,
-                     SearchBudgetExceeded)
+                     SearchBudgetExceeded, UnknownExample)
 
 ENV_PROFILE = "SFTKIT_BUDGET_PROFILE"
 
@@ -40,13 +40,14 @@ PROFILES = {
 
 
 def budgets_from_env() -> Budgets:
-    """Default budgets, honoring the SFTKIT_BUDGET_PROFILE environment variable."""
+    """Default budgets, honoring the SFTKIT_BUDGET_PROFILE environment
+    variable; an unknown profile name is an input error."""
     name = os.environ.get(ENV_PROFILE, "default")
     try:
         return PROFILES[name]
     except KeyError:
-        raise ValueError(
-            f"{ENV_PROFILE}={name!r} is not one of {sorted(PROFILES)}") from None
+        raise UnknownExample(name, sorted(PROFILES),
+                             what=f"{ENV_PROFILE} value") from None
 
 
 @dataclass

@@ -166,9 +166,10 @@ def main() -> None:
 def verify(claimfile, seed, fmt, output, budget_profile, budget_nodes,
            budget_multisets, budget_samples, budget_degree_cap) -> None:
     """Run every claim in CLAIMFILE ('catalog' for the built-in suite)."""
-    budgets = _resolve_budgets(budget_profile, budget_nodes, budget_multisets,
-                               budget_samples, budget_degree_cap)
     try:
+        budgets = _resolve_budgets(budget_profile, budget_nodes,
+                                   budget_multisets, budget_samples,
+                                   budget_degree_cap)
         if claimfile == "catalog":
             models, claims = builtin_catalog()
         else:
@@ -228,13 +229,14 @@ def example(name, p, v, big_m, big_d, nmax, den_bound, seed, fmt, output,
             budget_profile, budget_nodes, budget_multisets, budget_samples,
             budget_degree_cap) -> None:
     """Replay one catalog example: certificates, witnesses, index table."""
-    budgets = _resolve_budgets(budget_profile, budget_nodes, budget_multisets,
-                               budget_samples, budget_degree_cap)
     overrides = {k: val for k, val in {
         "p": p, "v": v, "M": big_m, "D": big_d, "nmax": nmax,
         "denBound": den_bound,
     }.items() if val is not None}
     try:
+        budgets = _resolve_budgets(budget_profile, budget_nodes,
+                                   budget_multisets, budget_samples,
+                                   budget_degree_cap)
         model = _resolve_example(name, overrides)
         reports = run_example(model, seed=seed, budgets=budgets)
     except SftkitError as exc:

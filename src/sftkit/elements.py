@@ -9,18 +9,14 @@ Three coefficient regimes:
     folds the coefficient's 2-valuation into the exponent,
   * the integer-coefficient model Z + 2xZ[x] (its own membership predicates).
 
-Elements are immutable term maps kept in a fixed term order. In prime
-characteristic and in the integer model the stored form is canonical, so
-equality is structural there. The dyadic form is not canonical (2 = x makes
-3*x^0 and x^0 + x^1 one element with two term sets; see DyadicRing), so
-there equal stored terms imply equal elements but not the converse. Every
+Elements are immutable term maps kept in a fixed term order. In all three
+rings the stored form is canonical (the dyadic one keeps one term per
+exponent class mod 1; see DyadicRing), so equality is structural. Every
 ring also handles the degree-1 polynomial extension by one extra variable t,
 tracked as a plain integer degree on each term.
 
-A product is one pass over the term pairs: in prime characteristic and in
-the integer model the coefficient products accumulate straight into the dict
-that normalization starts from; the dyadic ring normalizes the pair list in
-f-by-g order, since its normal form depends on input order.
+A product is one pass over the term pairs: the coefficient products
+accumulate straight into the dict that normalization starts from.
 
 Over the two monoid rings a stored term key is (lattice point, t-degree): the
 point is the exponent times the monoid's denominator bound, the integer
@@ -56,10 +52,6 @@ def _v2_int(n: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero")
     return (n & -n).bit_length() - 1
-
-
-def _v2_frac(q: Fraction) -> int:
-    return _v2_int(q.numerator) - _v2_int(q.denominator)
 
 
 def _on_lattice(v: tuple) -> bool:
@@ -161,49 +153,66 @@ class CharPMonoidRing(_MonoidRing):
 class DyadicRing(_MonoidRing):
     """Rank-1 monoid algebra with 2-adically local coefficients.
 
-    The weight-1 generator is the scalar 2, so c * x^e with c of 2-valuation
-    v equals (c / 2^v) * x^(e+v). Normal form keeps every coefficient a
-    2-adic unit at distinct exponents.
+    The weight-1 generator is the scalar 2, so x^(e+1) = 2 * x^e, and terms
+    whose exponents differ by an integer are one term: with r the least of
+    their exponents, sum c_j * x^(e_j) = W * x^r for W = sum c_j *
+    2^(e_j - r), and W = u * 2^v with u a 2-adic unit gives u * x^(r+v)
+    (W = 0 drops the class). Normal form keeps that one term per
+    (exponent class mod 1, t-degree), off-lattice exponents included.
 
-    That form is not canonical: 3*x^0 and x^0 + x^1 are the same element
-    (3 = 1 + 2 = 1 + x), and normalize() folds like terms in the order it
-    pops them, so reordering its input can give a different term set for
-    the same element. Ideal membership is still termwise and sound: with
-    distinct exponents and unit coefficients the lowest term of a sum
-    cannot cancel, so no nonzero form is 0 and a monomial ideal contains
-    the element exactly when it contains every term.
+    Monomials of distinct classes are linearly independent, so the form is
+    canonical: equal elements have equal stored terms, whatever the order
+    of the input. With distinct exponents and unit coefficients the lowest
+    term of a sum cannot cancel, so a monomial ideal contains the element
+    exactly when it contains every term.
     """
 
-    def multiply(self, fs, gs, ctx: Optional[SearchContext] = None):
-        """normalize() of the pairwise term products, in f-by-g order."""
-        return self.normalize([((tuple(map(add, v1, v2)), t1 + t2), c1 * c2)
-                               for (v1, t1), c1 in fs
-                               for (v2, t2), c2 in gs], ctx)
+    def __post_init__(self):
+        if self.monoid.dim != 1:
+            raise ValueError("the dyadic ring is rank 1")
 
     def normalize(self, terms, ctx: Optional[SearchContext] = None):
+        return self._fold((v[0], td, c.numerator, c.denominator)
+                          for (v, td), c in terms)
+
+    def multiply(self, fs, gs, ctx: Optional[SearchContext] = None):
+        """normalize() of the pairwise term products, in one pass."""
+        return self._fold((v1[0] + v2[0], t1 + t2, c1.numerator * c2.numerator,
+                           c1.denominator * c2.denominator)
+                          for (v1, t1), c1 in fs for (v2, t2), c2 in gs)
+
+    def _fold(self, terms):
+        """The normal form of (lattice exponent, tdeg, n, d) terms, each
+        n/d * x^e. Each class accumulates [r, wn, wd]: its least exponent so
+        far and W = wn/wd, wd odd, at that exponent; at the lattice scale s0
+        an exponent step of 1 is s0."""
         s0 = self.monoid.denominator_bound
-        acc: dict[tuple[tuple, int], Fraction] = {}
-        pending = [(k, Fraction(c)) for k, c in terms]
-        while pending:
-            k, c = pending.pop()
-            if c == 0:
+        acc: dict[tuple, list] = {}
+        for e, td, n, d in terms:
+            if not n:
                 continue
-            if c.denominator % 2 == 0:
+            if not d & 1:
                 raise PreconditionViolated(
-                    "coefficients are 2-adically integral", f"got {c}")
-            v = _v2_frac(c)
-            if v:
-                k = ((k[0][0] + v * s0,) + k[0][1:], k[1])
-                c = c / (1 << v)
-            prev = acc.pop(k, None)
-            if prev is None:
-                acc[k] = c
+                    "coefficients are 2-adically integral",
+                    f"got {Fraction(n, d)}")
+            key = (e % s0, td)
+            cls = acc.get(key)
+            if cls is None:
+                acc[key] = [e, n, d]
+                continue
+            r, wn, wd = cls
+            k = (e - r) // s0
+            if k < 0:  # a new least exponent: W moves down to it
+                wn <<= -k
+                cls[0] = e
             else:
-                s = prev + c
-                if s != 0:
-                    # the sum of two units is even; refold at a higher exponent
-                    pending.append((k, s))
-        out = [((_exact(v), td), c) for (v, td), c in acc.items()]
+                n <<= k
+            cls[1], cls[2] = wn * d + n * wd, wd * d
+        out = []
+        for (_e, td), (r, wn, wd) in acc.items():
+            if wn:
+                v = _v2_int(wn)
+                out.append(((_exact((r + v * s0,)), td), Fraction(wn >> v, wd)))
         out.sort(key=lambda t: (t[0][1], t[0][0]))
         return tuple(out)
 
@@ -582,8 +591,7 @@ def random_element(ring: Ring, ideal, degree_bound: int, seed: int,
 
 
 def _sample_once(ring, ideal, degree_bound, rng, ctx):
-    """One draw: every summand's terms, normalized once at the end (the
-    dyadic ring once per summand)."""
+    """One draw: every summand's terms, normalized once at the end."""
     nsum = rng.randint(1, 3)
     terms = []
     if isinstance(ideal, IntIdeal):
@@ -619,13 +627,6 @@ def _sample_once(ring, ideal, degree_bound, rng, ctx):
             else:
                 coeff = rng.choice([1, 3, -1, 5])
             terms.append(((v, td), coeff))
-        if isinstance(ring, DyadicRing):
-            # its normal form depends on input order, so add the summands
-            # one at a time, as element_add would
-            stored = ()
-            for t in terms:
-                stored = ring.normalize(stored + (t,), ctx)
-            return PolyElement(ring, stored)
     return _element(ring, terms, ctx)
 
 

@@ -33,7 +33,9 @@ MAX_DIM = 64
 MAX_GENS = 40320
 
 # rank-1 targets up to this value use the bitset table; beyond it the
-# depth-first search takes over (the table would need that many bits)
+# depth-first search takes over (the table would need that many bits). The
+# ideal layer's bitset routes read it at call time, so -1 turns every rank-1
+# bitset route off.
 _RANK1_BOUND = 1 << 22
 
 # the least bound a rank-1 table is built to
@@ -98,17 +100,6 @@ class ExponentVector:
             out[i] = v
         return tuple(out)
 
-    def entry(self, i: int) -> Fraction:
-        for idx, v in self.entries:
-            if idx == i:
-                return v
-            if idx > i:
-                break
-        return Fraction(0)
-
-    def tdeg(self) -> Fraction:
-        return sum((v for _, v in self.entries), Fraction(0))
-
     def denominator_lcm(self) -> int:
         d = 1
         for _, v in self.entries:
@@ -122,9 +113,6 @@ class ExponentVector:
         for i, v in other.entries:
             m[i] = m.get(i, Fraction(0)) + v
         return ExponentVector.from_map(self.dim, m)
-
-    def __sub__(self, other: "ExponentVector") -> "ExponentVector":
-        return self + other.scale(-1)
 
     def scale(self, k: int) -> "ExponentVector":
         if k == 0:

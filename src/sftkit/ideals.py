@@ -47,7 +47,8 @@ from typing import Iterator, Optional
 
 from .budget import SearchContext
 from .errors import PreconditionViolated
-from .exponents import _RANK1_BOUND, ExponentVector, MonoidPresentation
+from . import exponents
+from .exponents import ExponentVector, MonoidPresentation
 
 @dataclass(frozen=True)
 class MonomialIdeal:
@@ -85,7 +86,7 @@ class MonomialIdeal:
         if S.dim != 1 or not S.gens:
             return None
         vals = [g for (g,) in self.generators] or [0]  # empty: g0 = gmax = 0
-        if not (0 <= vals[0] and vals[-1] <= _RANK1_BOUND) or any(
+        if not (0 <= vals[0] and vals[-1] <= exponents._RANK1_BOUND) or any(
                 x >= y for x, y in zip(vals, vals[1:])):
             return None
         bits = reflected = 0
@@ -302,7 +303,7 @@ def _rank1_member(I: MonomialIdeal, a: int, ctx: SearchContext) -> Optional[bool
         return a >= 0 and bool(gbits >> a & 1)  # no search is due
     tables = I.monoid._ctx_tables(ctx)
     table = tables.get("rank1")
-    if table is None or a > min(table[0], _RANK1_BOUND) + g0:
+    if table is None or a > min(table[0], exponents._RANK1_BOUND) + g0:
         return None
     nonzero = tables.get("rank1_bytes")
     if nonzero is None or nonzero[0] is not table:
@@ -366,7 +367,7 @@ def _sums(S: MonoidPresentation, points: list, base: tuple) -> dict:
     """_pair_sums of points and base; in rank 1, with points ascending, a
     bitset sumset while it spans no more than the membership table does."""
     if (S.dim == 1 and points and base and points[-1][0] - points[0][0]
-            + base[-1][0] - base[0][0] <= _RANK1_BOUND):
+            + base[-1][0] - base[0][0] <= exponents._RANK1_BOUND):
         return _rank1_sums(points, base)
     return _pair_sums(points, base)
 
@@ -375,7 +376,8 @@ def rank1_pair_scan_fits(I) -> bool:
     """first_pair_outside applies: a rank-1 MonomialIdeal whose pair sums
     span no more than the membership table does."""
     return (isinstance(I, MonomialIdeal) and I._rank1 is not None
-            and 2 * (I.generators[-1][0] - I.generators[0][0]) <= _RANK1_BOUND)
+            and 2 * (I.generators[-1][0] - I.generators[0][0])
+            <= exponents._RANK1_BOUND)
 
 
 def first_pair_outside(I: MonomialIdeal, B, inside: dict,

@@ -120,6 +120,11 @@ class TestDyadicNormalization:
         with pytest.raises(PreconditionViolated):
             make_element(self.R, [((ev(1), 0), Fraction(1, 2))])
 
+    def test_rank_one_only(self):
+        # normal form folds the one coordinate, where x = 2
+        with pytest.raises(ValueError):
+            DyadicRing(PLANE)
+
     def test_multiplication_folds_valuations(self):
         a = make_element(self.R, [((ev(Fraction(1, 2)), 0), 2)])
         b = make_element(self.R, [((ev(Fraction(1, 4)), 0), 6)])
@@ -402,23 +407,22 @@ def _oracle_charp(R, pairs) -> dict:
 
 
 def _oracle_dyadic(pairs) -> dict:
-    # the same refolding stack as DyadicRing, on Fraction exponents
+    # one term per (exponent mod 1, tdeg), on Fraction exponents: with r the
+    # class's least exponent, sum c * x^e = W * x^r for W = sum c * 2^(e - r),
+    # and W = u * 2^v (u odd over odd) is u * x^(r + v)
+    classes: dict = {}
+    for (e, td), c in pairs:
+        if c:
+            classes.setdefault((e[0] % 1, td), []).append((e[0], Fraction(c)))
     acc: dict = {}
-    pending = [(k, Fraction(c)) for k, c in pairs]
-    while pending:
-        (e, td), c = pending.pop()
-        if c == 0:
-            continue
-        v = 0  # 2-valuation; denominators stay odd
-        while c.numerator % 2 ** (v + 1) == 0:
-            v += 1
-        k = ((e[0] + v,), td)
-        c = c / 2 ** v
-        prev = acc.pop(k, None)
-        if prev is None:
-            acc[k] = c
-        elif prev + c != 0:
-            pending.append((k, prev + c))
+    for (_cls, td), terms in classes.items():
+        r = min(e for e, _c in terms)
+        w = sum((c * 2 ** int(e - r) for e, c in terms), Fraction(0))
+        if w:
+            v = 0
+            while w.numerator % 2 ** (v + 1) == 0:
+                v += 1
+            acc[((r + v,), td)] = w / 2 ** v
     return dict(sorted(acc.items(), key=lambda kc: (kc[0][1], kc[0][0])))
 
 
@@ -688,34 +692,59 @@ class TestPrefixProducts:
 
 
 # ---------------------------------------------------------------------------
-# the dyadic normal form is not canonical, but membership and zero are
+# the dyadic normal form is canonical: one term per exponent class mod 1
 
 DYADIC = CATALOG["dyadic"]
 _DYADIC_POINTS = sorted({g + h for g in DYADIC.monoid.gens
                          for h in DYADIC.monoid.gens}
                         | set(DYADIC.monoid.gens), key=lambda e: e.dense())
+_ODD_OVER_ODD = st.builds(Fraction, st.integers(-12, 12),
+                          st.sampled_from([1, 3, 5]))
+
+
+def _dyadic_keys(R):
+    """(exponent, tdeg) keys on R: catalog points on the dyadic monoid, and
+    on either ring exponents a + b/(2 s0), so b odd is off the lattice and
+    classes mod 1 repeat often."""
+    s0 = R.monoid.denominator_bound
+    exps = st.builds(lambda a, b: ev(a + Fraction(b, 2 * s0)),
+                     st.integers(0, 3), st.sampled_from([0, 1, 2, 3]))
+    if R == DYADIC.ring:
+        exps = st.one_of(exps, st.sampled_from(_DYADIC_POINTS))
+    return st.tuples(exps, st.integers(0, 2))
+
+
+def _rewritten(terms, splits):
+    """The same element in other terms: c * x^e becomes (c - 2m) * x^e +
+    m * x^(e+1), since x = 2."""
+    out = []
+    for ((e, td), c), m in zip(terms, splits):
+        out += [((e, td), c - 2 * m), ((e + ev(1), td), m)]
+    return out + terms[len(splits):]
 
 
 class TestDyadicNormalForm:
-    R = DyadicRing(HALF_LINE)
-
-    def test_same_element_two_term_sets(self):
-        # 3 = 1 + 2 = 1 + x
-        a = make_element(self.R, [((ev(0), 0), 3)])
-        b = make_element(self.R, [((ev(0), 0), 1), ((ev(1), 0), 1)])
-        assert a != b
-        assert element_add(a, element_scale(b, -1)).is_zero
-
-    def test_normal_form_depends_on_input_order(self):
-        # 1 + 1 + 3 = 5: read from the end, 3 + 1 = 4 = x^2 comes first and
-        # gives 1 + x^2; reversed, 1 + 1 = x does and gives 3 + x
-        one = ExponentVector.zero(1)
-        pairs = [((one, 0), 1), ((one, 0), 1), ((one, 0), 3)]
-        fwd = make_element(self.R, pairs)
-        rev = make_element(self.R, pairs[::-1])
-        assert fwd.terms == (((one, 0), 1), ((ev(2), 0), 1))
-        assert rev.terms == (((one, 0), 3), ((ev(1), 0), 1))
-        assert element_add(fwd, element_scale(rev, -1)).is_zero
+    @pytest.mark.parametrize("R", [DYADIC.ring, DyadicRing(HALF_LINE)],
+                             ids=["catalog", "half_line"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_stored_form_is_the_element(self, R, data):
+        pairs = st.lists(st.tuples(_dyadic_keys(R), _ODD_OVER_ODD), max_size=6)
+        terms, other = data.draw(pairs), data.draw(pairs)
+        f, h = make_element(R, terms), make_element(R, other)
+        assert f == make_element(R, terms[::-1])
+        assert element_add(f, h) == element_add(h, f)
+        assert element_multiply(f, h) == element_multiply(h, f)
+        # g is f rewritten, shuffled, and maybe plus one more monomial
+        splits = data.draw(st.lists(st.integers(-3, 3), max_size=len(terms)))
+        moved = data.draw(st.permutations(_rewritten(terms, splits)))
+        extra = data.draw(st.lists(st.tuples(
+            _dyadic_keys(R), st.sampled_from([1, -3])), max_size=1))
+        g = make_element(R, moved + extra)
+        same = element_add(f, element_scale(g, -1)).is_zero
+        assert (f.stored == g.stored) == same == (not extra)
+        if same:
+            assert element_multiply(g, h) == element_multiply(f, h)
 
     @settings(max_examples=150, deadline=None)
     @given(terms=st.lists(st.tuples(

@@ -296,6 +296,24 @@ class TestVerifyCommand:
         r = CliRunner().invoke(main, ["verify", str(tmp_path / "nope.json")])
         assert r.exit_code == 3
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "catalog"], ["verify", "catalog", "--budget-profile", "quick"],
+        ["example", "dyadic"], ["export", "catalog"]])
+    def test_unknown_budget_profile_exits_3(self, args):
+        r = CliRunner().invoke(main, args, env={"SFTKIT_BUDGET_PROFILE": "bogus"})
+        assert r.exit_code == 3, r.output
+        assert isinstance(r.exception, SystemExit)  # not a crash
+        assert ("unknown SFTKIT_BUDGET_PROFILE value 'bogus';"
+                " available: deep, default, quick") in r.output
+
+    def test_unknown_budget_profile_has_no_traceback(self):
+        env = dict(os.environ, SFTKIT_BUDGET_PROFILE="bogus")
+        run = subprocess.run([sys.executable, "-m", "sftkit.cli", "verify",
+                              "catalog"], capture_output=True, text=True, env=env)
+        assert run.returncode == 3
+        assert "Traceback" not in run.stderr
+        assert run.stderr.count("\n") == 1 and not run.stdout
+
     def test_verify_malformed_file_exits_3(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

@@ -273,7 +273,7 @@ def reference_minimalize(S, exps):
     order = sorted(weighted, key=lambda e: (weighted[e], e.dense()))
     kept = []
     for cand in order:
-        if not any(S.member(cand - k) is not None for k in kept
+        if not any(S.member(cand + k.scale(-1)) is not None for k in kept
                    if S.weight(k) < weighted[cand]):
             kept.append(cand)
     return kept
@@ -654,8 +654,7 @@ class TestRank1Bitset:
     def test_matches_generator_loop_past_the_bitset_bound(self, monkeypatch):
         # a table wider than _RANK1_BOUND: differences past the bound take
         # the depth-first search, so the bitset route stops at the bound
-        for mod in (exponents, ideals):
-            monkeypatch.setattr(mod, "_RANK1_BOUND", 300)
+        monkeypatch.setattr(exponents, "_RANK1_BOUND", 300)
         self.check_random(random.Random(5), 60, KINDS[2:])
 
     def test_catalog_ideal_batch_matches(self):

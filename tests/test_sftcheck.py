@@ -10,6 +10,8 @@ the opposite verdict.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 import sftkit
 
+from sftkit import exponents
 from sftkit.budget import PROFILES, Budgets, SearchContext
 from sftkit.elements import (alive_ideal_monomials, element_add,
                              element_in_ideal, element_multiply,
@@ -944,3 +947,59 @@ class TestSuiteRunner:
         moved = [r.claim.id for r, got, want in zip(results, lines, golden)
                  if got != want]
         assert not moved, f"records moved: {moved}"
+
+
+class TestTwinRunWithoutBitsets:
+    """The catalog re-decided with every rank-1 bitset route off
+    (exponents._RANK1_BOUND = -1): membership by the depth-first search,
+    ideal membership by the generator loop, sumsets and the k = 2 witness
+    scan by the pair loops. Only budgets_used may move."""
+
+    # the claims on rational_valuation(6), about 9 s with the routes off;
+    # they run on rational_valuation(5) in both modes instead
+    SLOW = ("xv-sft-gens", "xv-vsft", "xv-witness-none", "xv-minimal-index",
+            "xv-ext-vsft", "xv-divergence")
+
+    @staticmethod
+    def records(results) -> list:
+        """Machine records without timing and budgets_used."""
+        recs = [json.loads(dumps_record(report_record(r))) for r in results]
+        return [{k: v for k, v in rec.items()
+                 if k not in ("timing", "budgets_used")} for rec in recs]
+
+    def test_fast_claims_match_the_golden_records(self, monkeypatch):
+        monkeypatch.setattr(exponents, "_RANK1_BOUND", -1)
+        claims = [c for c in catalog_claims() if c.id not in self.SLOW]
+        assert len(claims) == 46
+        got = self.records(run_suite(claims, models=catalog_models(), seed=0))
+        with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
+            golden = [json.loads(line) for line in fh]
+        want = [{k: v for k, v in rec.items() if k != "budgets_used"}
+                for rec in golden if rec["claim"] not in self.SLOW]
+        moved = [a["claim"] for a, b in zip(got, want) if a != b]
+        assert len(got) == len(want) and not moved, f"records moved: {moved}"
+
+    def test_slow_claims_agree_across_routes_on_a_smaller_model(
+            self, monkeypatch):
+        def smaller(c):
+            """xv-divergence without its level 6 and the indices expected
+            there; the others name the model, rebuilt below."""
+            if c.model:
+                return c
+            levels = [lv for lv in c.param_map["levels"] if lv <= 5]
+            return dataclasses.replace(c, expect_details=(), params=tuple(
+                sorted({**c.param_map, "levels": levels}.items())))
+
+        claims = [smaller(c) for c in catalog_claims() if c.id in self.SLOW]
+        assert len(claims) == len(self.SLOW)
+        runs, used = [], []
+        for bound in (exponents._RANK1_BOUND, -1):
+            monkeypatch.setattr(exponents, "_RANK1_BOUND", bound)
+            models = {"rational_valuation":
+                      build_model("rational_valuation", denBound=5)}
+            results = run_suite(claims, models=models, seed=0)
+            assert all(r.ok for r in results)
+            runs.append(self.records(results))
+            used.append([r.report.budgets_used for r in results])
+        assert runs[0] == runs[1]
+        assert used[0] != used[1]  # the routes did differ
