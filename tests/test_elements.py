@@ -746,6 +746,27 @@ class TestDyadicNormalForm:
         if same:
             assert element_multiply(g, h) == element_multiply(f, h)
 
+    def test_same_element_two_term_sets(self):
+        # 3 = 1 + 2 = 1 + x: both term sets store the one term 3
+        R = DyadicRing(HALF_LINE)
+        a = make_element(R, [((ev(0), 0), 3)])
+        b = make_element(R, [((ev(0), 0), 1), ((ev(1), 0), 1)])
+        assert a == b
+        assert a.terms == b.terms == (((ev(0), 0), 3),)
+        assert element_add(a, element_scale(b, -1)).is_zero
+
+    def test_normal_form_depends_on_input_order(self):
+        # 1 + 1 + 3 = 5 in one exponent class: read from either end it
+        # folds to the one term 5, so the stored form does not depend on
+        # the order of the input
+        R = DyadicRing(HALF_LINE)
+        one = ExponentVector.zero(1)
+        pairs = [((one, 0), 1), ((one, 0), 1), ((one, 0), 3)]
+        fwd = make_element(R, pairs)
+        rev = make_element(R, pairs[::-1])
+        assert fwd.terms == rev.terms == (((one, 0), 5),)
+        assert element_add(fwd, element_scale(rev, -1)).is_zero
+
     @settings(max_examples=150, deadline=None)
     @given(terms=st.lists(st.tuples(
         st.tuples(st.sampled_from(_DYADIC_POINTS), st.integers(0, 2)),
