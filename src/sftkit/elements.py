@@ -230,29 +230,37 @@ class Int2xRing:
 
     def normalize(self, terms, ctx: Optional[SearchContext] = None):
         acc: dict[tuple[int, int], int] = {}
-        for k, c in terms:
+        for (xd, td), c in terms:
             if c:
+                k = (td, xd)
                 acc[k] = acc.get(k, 0) + c
+        for (td, xd), c in acc.items():
+            if xd > 0 and c % 2:
+                raise PreconditionViolated(
+                    "coefficients of positive x-powers are even",
+                    f"coefficient {c} at x^{xd} t^{td}")
         return self._finish(acc)
 
     def multiply(self, fs, gs, ctx: Optional[SearchContext] = None):
-        """normalize() of the pairwise term products, in one pass."""
+        """normalize() of the pairwise term products, in one pass; a
+        product of two elements of the ring needs no parity check."""
         acc: dict[tuple[int, int], int] = {}
         for (x1, t1), c1 in fs:
             for (x2, t2), c2 in gs:
-                k = (x1 + x2, t1 + t2)
+                k = (t1 + t2, x1 + x2)
                 acc[k] = acc.get(k, 0) + c1 * c2
         return self._finish(acc)
 
     @staticmethod
     def _finish(acc: dict):
-        out = [(k, c) for k, c in acc.items() if c]
-        for (xd, td), c in out:
-            if xd > 0 and c % 2:
-                raise PreconditionViolated(
-                    "coefficients of positive x-powers are even",
-                    f"coefficient {c} at x^{xd} t^{td}")
-        out.sort(key=lambda t: (t[0][1], t[0][0]))
+        """The stored terms of coefficients accumulated under (t-degree,
+        x-degree) keys, whose plain sort is the stored order (the keys
+        alone sort faster than the items)."""
+        out = []
+        for k in sorted(acc):
+            c = acc[k]
+            if c:
+                out.append(((k[1], k[0]), c))
         return tuple(out)
 
 
@@ -287,6 +295,13 @@ class PolyElement:
 
     def max_tdeg(self) -> int:
         return self.stored[-1][0][1] if self.stored else 0
+
+    @cached_property
+    def _xdeg(self) -> int:
+        """The largest x-degree of an integer-model element (0 for zero),
+        for element_multiply's degree cap, which sets it on the products
+        it forms, so an element is scanned at most once."""
+        return _max_xdeg(self.stored)
 
     def __repr__(self):
         if self.is_zero:
@@ -342,11 +357,14 @@ def element_multiply(f: PolyElement, g: PolyElement,
         raise PreconditionViolated("operands share a model")
     if ctx is None:
         ctx = SearchContext()
-    fs, gs = f.stored, g.stored
-    _check_degree_cap(
-        ctx.budgets.degree_cap, f.max_tdeg() + g.max_tdeg(),
-        _max_xdeg(fs) + _max_xdeg(gs) if isinstance(ring, Int2xRing) else 0)
-    return PolyElement(ring, ring.multiply(fs, gs, ctx))
+    xdeg = f._xdeg + g._xdeg if isinstance(ring, Int2xRing) else 0
+    _check_degree_cap(ctx.budgets.degree_cap, f.max_tdeg() + g.max_tdeg(), xdeg)
+    out = PolyElement(ring, ring.multiply(f.stored, g.stored, ctx))
+    if xdeg:
+        # Z[x, t] has no zero divisors: a nonzero product's largest
+        # x-degree is the sum of its factors'
+        out.__dict__["_xdeg"] = xdeg if out.stored else 0
+    return out
 
 
 def element_power(f: PolyElement, n: int,
@@ -441,7 +459,14 @@ class IntIdeal:
         """x is a key (x-degree, coefficient); a PolyElement is inside when
         every one of its terms is."""
         if isinstance(x, PolyElement):
-            return all(self.contains((xd, c)) for (xd, _td), c in x.stored)
+            # required() inlined; a stored coefficient is nonzero, so its
+            # 2-valuation reaches need iff its low need bits are clear
+            for (xd, _td), c in x.stored:
+                need = (self.v0 if xd == 0 or xd == self.relax_at else
+                        self.v_low if xd <= self.thresh else self.v_high)
+                if c & ((1 << need) - 1):
+                    return False
+            return True
         xd, c = x
         return _v2_int(c) >= self.required(xd)
 

@@ -249,25 +249,19 @@ class MonoidPresentation:
     @cached_property
     def _sym_classes(self) -> tuple[tuple[int, ...], ...]:
         """Maximal groups of interchangeable coordinates: equal weight, and
-        transposing any two maps the generator set onto itself. Membership is
-        invariant under permuting such a group, so queries are canonicalized
+        transposing any two maps the generator set onto itself. The group G
+        these permutations generate acts on S by graded automorphisms.
+
+        Membership is invariant under G, so queries are canonicalized
         before searching (sorting entries within each group); symmetric
-        targets then share one search tree and one memo."""
+        targets then share one search tree and one memo. Where the kill
+        and an ideal are G-invariant too (_acts_on), the ideal layer and
+        the verdict layer decide ideal questions once per G-orbit, on its
+        representative _orbit_rep (ideals.orbit_rep)."""
         if self.dim == 1 or not self.gens:
             return ()
         points = self._pack["scaled"]
         gset = set(points)
-
-        def swap_ok(a: int, b: int) -> bool:
-            for v in points:
-                if v[a] == v[b]:
-                    continue
-                w = list(v)
-                w[a], w[b] = w[b], w[a]
-                if tuple(w) not in gset:
-                    return False
-            return True
-
         by_weight: dict = {}
         for k in range(self.dim):
             by_weight.setdefault(self.weights[k], []).append(k)
@@ -281,7 +275,7 @@ class MonoidPresentation:
                 # full symmetric group on the class, so pairwise tests suffice
                 cls = [a]
                 for b in coords[i + 1:]:
-                    if b not in used and swap_ok(a, b):
+                    if b not in used and _swap_closed(points, gset, a, b):
                         cls.append(b)
                         used.add(b)
                 if len(cls) > 1:
@@ -309,6 +303,42 @@ class MonoidPresentation:
         for k in range(self.dim):
             canon[perm[k]] = v[k]
         return tuple(canon), perm
+
+    def _orbit_rep(self, v: tuple) -> tuple:
+        """The representative of v's G-orbit: its canonical target (each
+        class's entries in decreasing order), without the coordinate map."""
+        out = list(v)
+        for cls in self._sym_classes:
+            for pos, x in zip(cls, sorted([v[k] for k in cls], reverse=True)):
+                out[pos] = x
+        return tuple(out)
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        """G is not trivial and leaves the kill invariant: no kill,
+        entry_ge (a bound on the largest entry), or ideal_gens kill points
+        that _acts_on would accept."""
+        def invariant(spec) -> bool:
+            if spec is None or spec[0] == "entry_ge":
+                return True
+            if spec[0] == "ideal_gens":
+                return self._closed(spec[1])
+            return invariant(spec[1]) and invariant(spec[2])
+
+        return bool(self._sym_classes) and invariant(self._lattice_kill)
+
+    def _closed(self, points) -> bool:
+        """Every transposition (cls[0], b) of a symmetry class maps the
+        lattice points onto themselves; those generate G."""
+        pset = set(points)
+        return all(_swap_closed(pset, pset, cls[0], b)
+                   for cls in self._sym_classes for b in cls[1:])
+
+    def _acts_on(self, points) -> bool:
+        """G acts on the model and maps the set of lattice points onto
+        itself: then so does it the ideal they generate, and an answer
+        about one point holds for its whole orbit."""
+        return self._symmetric and self._closed(points)
 
     @cached_property
     def _gen_lookup(self) -> dict:
@@ -538,6 +568,18 @@ class MonoidPresentation:
     @cached_property
     def _rank1_base(self) -> int:
         return _rank1_build(self._pack["gens_int"], _RANK1_MIN)
+
+
+def _swap_closed(points, pset, a: int, b: int) -> bool:
+    """Transposing coordinates a and b maps each of points into pset."""
+    for v in points:
+        if v[a] == v[b]:
+            continue
+        w = list(v)
+        w[a], w[b] = w[b], w[a]
+        if tuple(w) not in pset:
+            return False
+    return True
 
 
 def _resum(terms, dim: int) -> tuple:

@@ -36,6 +36,17 @@ least_power_inside decides the least n with I^n ⊆ B on either kind through
 that protocol, without building a full power. Whole-ideal questions go
 through the same protocol: J ⊆ I is I.contains on each of J's generators,
 and the least k with x^k in B is B.radical_index.
+
+Orbits. The coordinate permutations of MonoidPresentation._sym_classes
+form a group G of automorphisms of S. When G also leaves the kill
+invariant and an ideal's generator set is closed under it, membership in
+that ideal is the same for every point of a G-orbit. Then
+least_power_inside keeps one representative per orbit of its outside set
+(and charges for those alone), minimalize decides redundancy once per
+orbit of an invariant input, and the verdict layer's generator checks
+decide one generator per orbit (one_per_orbit). Everywhere else (rank 1,
+no symmetry, a non-invariant ideal or kill, IntIdeal) the representative
+is the point itself, on the same code path.
 """
 
 from __future__ import annotations
@@ -94,6 +105,12 @@ class MonomialIdeal:
             bits |= 1 << g
             reflected |= 1 << (vals[-1] - g)
         return bits, reflected, vals[0], vals[-1], S._pack["gens_int"][-1][0]
+
+    @cached_property
+    def _invariant(self) -> bool:
+        """The monoid's symmetry group G acts on the model and leaves this
+        ideal invariant (MonoidPresentation._acts_on its generators)."""
+        return self.monoid._acts_on(self.generators)
 
     @property
     def is_zero(self) -> bool:
@@ -156,6 +173,37 @@ class MonomialIdeal:
         return [_element(ring, [((v, 0), 1)], None) for v in self.generators]
 
 
+def _identity(x):
+    return x
+
+
+def orbit_rep(*ideals):
+    """The map x -> representative of x's orbit under the monoid's
+    coordinate symmetries G (MonoidPresentation._sym_classes) when G acts
+    on the model and leaves every ideal given invariant, else the identity
+    (rank 1, no symmetry, a non-invariant ideal or kill, the integer
+    model's IntIdeal).
+
+    Then membership in each of them, and the least power of x inside, is
+    the same for x and its representative, so a question asked of every
+    point of an orbit needs deciding once.
+    """
+    if all(isinstance(J, MonomialIdeal) and J._invariant for J in ideals):
+        return ideals[0].monoid._orbit_rep
+    return _identity
+
+
+def one_per_orbit(points, *ideals) -> Iterator[tuple[int, object]]:
+    """(i, points[i]) for each point whose orbit_rep(*ideals) no earlier
+    point has: the points a check that holds orbit by orbit must decide."""
+    rep, seen = orbit_rep(*ideals), set()
+    for i, x in enumerate(points):
+        r = rep(x)
+        if r not in seen:
+            seen.add(r)
+            yield i, x
+
+
 def _factored(layer: dict) -> list:
     return [(factors, v) for v, factors in layer.items()]
 
@@ -189,24 +237,41 @@ def minimalize(S: MonoidPresentation, points, ctx: SearchContext) -> list[tuple]
     Killed (zero-monomial) points generate nothing and are dropped.
     Positive grading makes the minimal set unique, so the result does not
     depend on the route that produced `points`.
+
+    When the monoid's symmetry group G acts on the model and the points
+    left are a G-invariant set (MonoidPresentation._acts_on), redundancy
+    is decided once per G-orbit and the answer reused for the orbit's
+    other points: a point is only tested against kept points lighter than
+    it, those form an invariant set (the unique minimal set of an
+    invariant set is invariant), and G preserves weight and divisibility.
+    Otherwise every point is decided.
     """
     weighted = {}
     for v in points:
         if v not in weighted and not (S.kill is not None and S.lattice_killed(v, ctx)):
             weighted[v] = S.lattice_weight(v)
     order = sorted(weighted, key=lambda v: (weighted[v], v))
+    rep = None  # chosen at the first redundancy test, which many calls never make
     minpos = S._pack["tables"][0][0]
     kept: list[tuple] = []
     kept_w: list[int] = []
+    decided: dict[tuple, bool] = {}  # orbit representative -> redundant
     for cand in order:
         wc = weighted[cand]
         redundant = False
-        for k, wk in zip(kept, kept_w):
-            if wk > wc - minpos:
-                break  # everything later is heavier still
-            if _divides(S, tuple(map(sub, cand, k)), wc - wk, ctx):
-                redundant = True
-                break
+        if kept and kept_w[0] <= wc - minpos:  # a kept point may divide cand
+            if rep is None:
+                rep = S._orbit_rep if S._acts_on(weighted) else _identity
+            r = rep(cand)
+            if r not in decided:
+                for k, wk in zip(kept, kept_w):
+                    if wk > wc - minpos:
+                        break  # everything later is heavier still
+                    if _divides(S, tuple(map(sub, cand, k)), wc - wk, ctx):
+                        redundant = True
+                        break
+                decided[r] = redundant
+            redundant = decided[r]
         if not redundant:
             kept.append(cand)
             kept_w.append(wc)
@@ -483,9 +548,18 @@ def least_power_inside(I, B, cap: int, ctx: SearchContext) -> Optional[int]:
     are not in B. B is an ideal, so a product in B stays in B under one
     more factor, and the outside set at n is the distinct products of the
     one at n - 1 with I's generators, minus B. I^n ⊆ B iff it is empty. No
-    full power is built and nothing is minimalized; each step charges
-    |outside|·|I| multisets, the products it forms.
+    full power is built and nothing is minimalized.
+
+    The outside set is kept as orbit representatives (orbit_rep): when the
+    monoid's symmetry group G acts on the model and leaves I and B
+    invariant, the outside set at each step is G-invariant, and the
+    products of its representatives with I's generators reach every orbit
+    of the next one, so each orbit is decided once and the least n is the
+    same. Otherwise the representative is the point itself. Each step
+    charges |outside representatives|·|I| multisets, the products it
+    forms.
     """
+    rep = orbit_rep(I, B)
     outside: list = []
     for n in range(1, cap + 1):
         if n == 1:
@@ -495,7 +569,8 @@ def least_power_inside(I, B, cap: int, ctx: SearchContext) -> Optional[int]:
             ctx.precheck_multisets(count)
             ctx.charge_multisets(count)
             products = I.times_generators(outside, ctx)
-        outside = [x for x in products if not B.contains(x, ctx)]
+        outside = [x for x in dict.fromkeys(map(rep, products))
+                   if not B.contains(x, ctx)]
         if not outside:
             return n
     return None

@@ -47,7 +47,7 @@ from .errors import (BudgetExceeded, NoCertificateApplicable,
                      UnsupportedModel)
 from .exponents import ExponentVector
 from .ideals import (first_pair_outside, lattice_ideal, least_power_inside,
-                     rank1_pair_scan_fits)
+                     one_per_orbit, rank1_pair_scan_fits)
 from .models import RingModel, build_model, check_model_params
 
 
@@ -182,16 +182,19 @@ def _same_monoid(I, B) -> None:
 
 
 def _check_sub(I, B, ctx) -> None:
-    """B ⊆ I."""
+    """B ⊆ I, decided on one generator per orbit (ideals.one_per_orbit):
+    a generator whose orbit an earlier one passed for passes too, so the
+    first one that escapes is the same."""
     _same_monoid(I, B)
-    for i, x in enumerate(B.generators):
+    for i, x in one_per_orbit(B.generators, I):
         if not I.contains(x, ctx):
             raise PreconditionViolated("B ⊆ I", f"generator {B.gens[i]!r} escapes")
 
 
 def _check_radical(I, B, kmax, ctx, clause="I ⊆ √B") -> None:
-    """Every generator of I has a power in B by kmax."""
-    for i, x in enumerate(I.generators):
+    """Every generator of I has a power in B by kmax; one per orbit, as in
+    _check_sub."""
+    for i, x in one_per_orbit(I.generators, B):
         if B.radical_index(x, kmax, ctx) is None:
             raise PreconditionViolated(
                 clause, f"no power of {I.gens[i]!r} lands inside by {kmax}")

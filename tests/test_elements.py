@@ -276,6 +276,52 @@ class TestIntIdeals:
         with pytest.raises(PreconditionViolated):
             I.power(0)
 
+    def test_element_predicate_is_the_key_predicate_on_every_term(self):
+        # contains(PolyElement) tests low bits in one loop; the key form
+        # goes through _v2_int and required()
+        import random as _r
+        rng = _r.Random(22)
+        R = Int2xRing()
+        I = int_ideal_full(3)
+        ideals = [I, I.power(2), int_ideal_two(), int_ideal_two().power(3),
+                  IntIdeal(I.v0, I.v_low, I.v_high, I.thresh, gens=I.gens,
+                           relax_at=5)]
+        inside = 0
+        for _ in range(300):
+            terms = [((0, rng.randint(0, 2)), rng.randint(-40, 40))]
+            terms += [((rng.randint(1, 7), rng.randint(0, 2)),
+                       2 * rng.randint(-40, 40)) for _ in range(rng.randint(0, 3))]
+            f = make_element(R, terms)
+            for J in ideals:
+                want = all(J.contains((xd, c)) for (xd, _td), c in f.stored)
+                assert J.contains(f) == want, (f.stored, J)
+                inside += want
+        assert 100 < inside < 1400
+
+    def test_products_match_the_term_pair_oracle(self):
+        import random as _r
+        rng = _r.Random(23)
+        R = Int2xRing()
+
+        def rand():
+            terms = [((0, rng.randint(0, 2)), rng.randint(-5, 5))]
+            terms += [((rng.randint(1, 4), rng.randint(0, 2)),
+                       2 * rng.randint(-5, 5)) for _ in range(rng.randint(0, 4))]
+            return make_element(R, terms)
+
+        for _ in range(200):
+            f, g = rand(), rand()
+            acc = {}
+            for (x1, t1), c1 in f.stored:
+                for (x2, t2), c2 in g.stored:
+                    k = (x1 + x2, t1 + t2)
+                    acc[k] = acc.get(k, 0) + c1 * c2
+            want = sorted(((k, c) for k, c in acc.items() if c),
+                          key=lambda t: (t[0][1], t[0][0]))
+            fg = element_multiply(f, g)
+            assert list(fg.stored) == want
+            assert fg._xdeg == _max_xdeg(fg.stored)
+
 
 class TestElementInIdeal:
     def test_monoid_side_checks_every_term(self):

@@ -695,3 +695,181 @@ class TestPairScan:
             assert fast.used() == slow.used(), where
             scanned += 1
         assert scanned > 100
+
+
+def full_minimalize(S, points, ctx, divides=_divides) -> list:
+    """minimalize with every point decided, none through its orbit."""
+    weighted = {}
+    for v in points:
+        if v not in weighted and not (S.kill is not None and S.lattice_killed(v, ctx)):
+            weighted[v] = S.lattice_weight(v)
+    order = sorted(weighted, key=lambda v: (weighted[v], v))
+    minpos = S._pack["tables"][0][0]
+    kept, kept_w = [], []
+    for cand in order:
+        wc = weighted[cand]
+        redundant = False
+        for k, wk in zip(kept, kept_w):
+            if wk > wc - minpos:
+                break
+            if divides(S, tuple(map(sub, cand, k)), wc - wk, ctx):
+                redundant = True
+                break
+        if not redundant:
+            kept.append(cand)
+            kept_w.append(wc)
+    return kept
+
+
+def full_least_power_inside(I, B, cap, ctx):
+    """least_power_inside with the outside set kept point by point."""
+    outside = []
+    for n in range(1, cap + 1):
+        if n == 1:
+            products = I.generators
+        else:
+            ctx.charge_multisets(len(outside) * len(I.generators))
+            products = I.times_generators(outside, ctx)
+        outside = [x for x in products if not B.contains(x, ctx)]
+        if not outside:
+            return n
+    return None
+
+
+def orbit(S, v) -> set:
+    """Every image of v under the permutations of S's symmetry classes."""
+    out = {v}
+    for cls in S._sym_classes:
+        nxt = set()
+        for w in out:
+            for perm in itertools.permutations([w[k] for k in cls]):
+                u = list(w)
+                for k, x in zip(cls, perm):
+                    u[k] = x
+                nxt.add(tuple(u))
+        out = nxt
+    return out
+
+
+def unit_point(S, *coords) -> tuple:
+    """The lattice point with 1 at each of coords."""
+    return tuple(S.denominator_bound * (k in coords) for k in range(S.dim))
+
+
+def asymmetric_kill(kill_point):
+    """Three interchangeable variables whose kill ideal_gens point breaks
+    the symmetry: the kill is not invariant, so nothing takes the orbit
+    route."""
+    units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
+    return presentation(*units, kill=("or", ("entry_ge", 4),
+                                      ("ideal_gens", (ev(*kill_point),))))
+
+
+def orbit_cases():
+    """(name, I, B, invariant) on the symmetric families: invariant pairs,
+    pairs with a non-invariant B or I, and a kill that is not invariant."""
+    for v in (2, 3, 4):
+        m = build_model("fraction_monoid", v=v, M=2)
+        S = m.monoid
+        y = S.to_lattice(ExponentVector.unit(S.dim, 0))
+        y_x1 = lattice_ideal(S, [tuple(map(sub, y, unit_point(S, 1)))])
+        frac, y_ideal, mx = m.ideal("frac"), m.ideal("y"), m.ideal("max")
+        yield f"frac{v} frac/y", frac, y_ideal, True
+        yield f"frac{v} max/y", mx, y_ideal, True
+        yield f"frac{v} max/frac", mx, frac, True
+        yield f"frac{v} frac/(y/x_1)", frac, y_x1, v == 1
+        yield f"frac{v} (y/x_1)/y", y_x1, y_ideal, False
+    for v in (2, 3, 4):
+        m = build_model("char2_xy", v=v, D=6)
+        S = m.monoid
+        xy1 = lattice_ideal(S, [unit_point(S, 0, 1)])
+        I, B, mx = m.ideal("I"), m.ideal("B"), m.ideal("max")
+        yield f"xy{v} I/B", I, B, True
+        yield f"xy{v} max/B", mx, B, True
+        yield f"xy{v} max/I", mx, I, True
+        yield f"xy{v} I/(XY_1)", I, xy1, False
+    for v in (2, 3, 4, 5):
+        m = build_model("frobenius_quotient", p=2, v=v)
+        S = m.monoid
+        x1 = lattice_ideal(S, [unit_point(S, 0)])
+        yield f"fr{v} max/zero", m.ideal("max"), m.ideal("zero"), True
+        yield f"fr{v} max/(x_1)", m.ideal("max"), x1, False
+        yield f"fr{v} max/(x_1x_2)", m.ideal("max"), lattice_ideal(
+            S, [unit_point(S, 0, 1)]), v == 2
+    for point in ((2, 0, 0), (1, 1, 0)):
+        S = asymmetric_kill(point)
+        mx = lattice_ideal(S, S._pack["scaled"])
+        yield f"kill {point} max/zero", mx, lattice_ideal(S, []), False
+        yield f"kill {point} max^2/zero", mx.power(2), lattice_ideal(S, []), False
+
+
+class TestOrbitRoute:
+    """least_power_inside and minimalize decide on orbit representatives
+    only where the symmetry group acts on the model and the sets involved;
+    everywhere they agree with the loops that decide every point."""
+
+    def test_route_applies_only_to_invariant_ideals_and_kills(self):
+        for name, I, B, invariant in orbit_cases():
+            rep = ideals.orbit_rep(I, B)
+            assert (rep is not ideals._identity) == invariant, name
+        S = asymmetric_kill((2, 0, 0))
+        assert S._sym_classes == ((0, 1, 2),) and not S._symmetric
+        assert ideals.orbit_rep(build_model("int_plus_2x", D=4).ideal("full")) \
+            is ideals._identity
+
+    def test_least_power_inside_matches_the_full_loop(self):
+        orbit_nodes = full_nodes = decided = 0
+        for name, I, B, invariant in orbit_cases():
+            fast, slow = SearchContext(), SearchContext()
+            got = least_power_inside(I, B, 6, fast)
+            want = full_least_power_inside(I, B, 6, slow)
+            assert got == want, name
+            assert fast.multisets_used <= slow.multisets_used, name
+            if not invariant:
+                assert fast.used() == slow.used(), name
+            orbit_nodes += fast.nodes_used
+            full_nodes += slow.nodes_used
+            decided += want is not None
+        assert decided >= 15
+        assert orbit_nodes < full_nodes  # the route was taken
+
+    def test_minimalize_matches_the_full_loop(self, monkeypatch):
+        tests = {"orbit": 0, "full": 0}  # divisibility tests made
+
+        def counting(key):
+            def divides(*args):
+                tests[key] += 1
+                return _divides(*args)
+            return divides
+
+        monkeypatch.setattr(ideals, "_divides", counting("orbit"))
+        rng = random.Random(2026)
+        total = {"orbit": 0, "full": 0}
+        for name, I, B, _ in orbit_cases():
+            S = I.monoid
+            products = I.times_generators(I.generators, SearchContext())
+            closed = sorted(set().union(*(orbit(S, v) for v in products)))
+            picked = rng.sample(products, max(1, len(products) // 2))
+            for points in (products, closed, picked,
+                           list(I.generators) + products,
+                           list(B.generators) + picked):
+                before = dict(tests)
+                got = minimalize(S, points, SearchContext())
+                want = full_minimalize(S, points, SearchContext(),
+                                       counting("full"))
+                assert got == want, name
+                made = {k: tests[k] - before[k] for k in tests}
+                assert made["orbit"] <= made["full"], name
+                if not S._acts_on(points):
+                    assert made["orbit"] == made["full"], name
+                total = {k: total[k] + made[k] for k in total}
+        assert total["orbit"] < total["full"] / 2, total  # the route was taken
+
+    def test_orbit_answer_is_reused_only_on_invariant_sets(self):
+        # x_2 x_3 shares an orbit with x_1 x_2, which x_1 divides; x_2 x_3
+        # stays minimal, because this set is not invariant
+        m = build_model("frobenius_quotient", p=2, v=3)
+        S = m.monoid
+        points = [unit_point(S, 0), unit_point(S, 0, 1), unit_point(S, 1, 2)]
+        assert minimalize(S, points, SearchContext()) == [
+            unit_point(S, 0), unit_point(S, 1, 2)]

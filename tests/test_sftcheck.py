@@ -503,10 +503,24 @@ class TestLeastPowerInside:
 
     def test_each_step_charges_the_outside_set_times_the_generators(self):
         # x, y with every entry capped below 3, B = 0: the outside sets are
-        # {x, y}, {x², xy, y²}, {x²y, xy²}, {x²y²}, then nothing at n = 5
+        # {x, y}, {x², xy, y²}, {x²y, xy²}, {x²y²}, then nothing at n = 5.
+        # x and y are interchangeable, so the set is kept as one point per
+        # orbit: {x}, {x², xy}, {x²y}, {x²y²}
         S = MonoidPresentation(2, (ExponentVector.unit(2, 0, 1),
                                    ExponentVector.unit(2, 1, 1)), (1, 1),
                                kill=("entry_ge", 3))
+        I = monomial_ideal(S, S.gens)
+        ctx = SearchContext()
+        assert least_power_inside(I, monomial_ideal(S, []), 8, ctx) == 5
+        assert ctx.multisets_used == (1 + 2 + 1 + 1) * 2
+
+    def test_an_asymmetric_grading_charges_the_full_outside_set(self):
+        # the same outside sets with y of weight 2: no coordinate symmetry,
+        # so every point of them is formed and charged
+        S = MonoidPresentation(2, (ExponentVector.unit(2, 0, 1),
+                                   ExponentVector.unit(2, 1, 1)), (1, 2),
+                               kill=("entry_ge", 3))
+        assert S._sym_classes == ()
         I = monomial_ideal(S, S.gens)
         ctx = SearchContext()
         assert least_power_inside(I, monomial_ideal(S, []), 8, ctx) == 5
@@ -1003,3 +1017,75 @@ class TestTwinRunWithoutBitsets:
             used.append([r.report.budgets_used for r in results])
         assert runs[0] == runs[1]
         assert used[0] != used[1]  # the routes did differ
+
+
+class TestTwinRunWithoutSymmetry:
+    """The catalog re-decided with no coordinate symmetry
+    (MonoidPresentation._sym_classes = ()): no canonical membership
+    queries and no orbit route in the ideal and verdict layers. Only
+    budgets_used may move."""
+
+    def test_catalog_matches_the_golden_records(self, monkeypatch):
+        monkeypatch.setattr(MonoidPresentation, "_sym_classes", ())
+        results = run_suite(catalog_claims(), models=catalog_models(), seed=0)
+        got = TestTwinRunWithoutBitsets.records(results)
+        with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
+            golden = [json.loads(line) for line in fh]
+        want = [{k: v for k, v in rec.items() if k != "budgets_used"}
+                for rec in golden]
+        moved = [a["claim"] for a, b in zip(got, want) if a != b]
+        assert len(got) == len(want) == 52 and not moved, f"records moved: {moved}"
+        # the routes did differ
+        assert ([r.report.budgets_used for r in results]
+                != [rec["budgets_used"] for rec in golden])
+
+
+class TestOrbitChecks:
+    """_check_sub and _check_radical decide one generator per orbit and
+    name the same failing generator as a loop over every one."""
+
+    @staticmethod
+    def spy(monkeypatch, cls, name) -> list:
+        calls = []
+        real = getattr(cls, name)
+
+        def wrapped(self, x, *args, **kwargs):
+            calls.append(x)
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapped)
+        return calls
+
+    def test_one_query_per_orbit(self, monkeypatch):
+        from sftkit.ideals import MonomialIdeal
+        from sftkit.sftcheck import _check_radical, _check_sub
+
+        m = build_model("frobenius_quotient", p=2, v=4)
+        mx = m.ideal("max")
+        sq = mx.power(2)  # the six x_i x_j, one orbit
+        contains = self.spy(monkeypatch, MonomialIdeal, "contains")
+        radical = self.spy(monkeypatch, MonomialIdeal, "radical_index")
+        _check_sub(mx, sq, SearchContext())
+        _check_radical(mx, sq, 4, SearchContext())
+        assert len(sq.generators) == 6 and len(contains) == 1
+        assert len(mx.generators) == 4 and len(radical) == 1
+
+    def test_failing_generator_is_the_same(self, monkeypatch):
+        from sftkit.sftcheck import _check_radical, _check_sub
+
+        def messages():
+            m = build_model("fraction_monoid", v=3, M=2)
+            out = []
+            for check in (lambda: _check_sub(m.ideal("frac"), m.ideal("max"),
+                                             SearchContext()),
+                          lambda: _check_radical(m.ideal("max"), m.ideal("y"),
+                                                 3, SearchContext())):
+                with pytest.raises(PreconditionViolated) as err:
+                    check()
+                out.append(str(err.value))
+            return out
+
+        orbit = messages()
+        monkeypatch.setattr(MonoidPresentation, "_sym_classes", ())
+        assert messages() == orbit
+
