@@ -4,9 +4,9 @@ ideals.
 Times ideals.least_power_inside, the decision behind the minimal-index,
 divergence, modified-radical and anyradical claims, on the (I, B, cap) of
 the catalog's minimal-index and divergence claims: char2_xy(v=5), the
-fraction monoid at v=4, dyadic(nmax=5) and rational_valuation(5). Then
-sftcheck.find_vsft_witness at k = 2 (I = xV, B = x, the catalog's
-xv-witness-none) on rational_valuation(5) and (6), and a batch of rank-1
+fraction monoid at v=4, dyadic(nmax=5) and rational_valuation(5) and (7).
+Then sftcheck.find_vsft_witness at k = 2 (I = xV, B = x, the catalog's
+xv-witness-none) on rational_valuation(5), (6) and (7), and a batch of rank-1
 ideal membership queries B.contains((a,)) for a = 0..A-1 on one context.
 Prints the result, the multisets and search nodes charged (deterministic)
 and the best wall time over the repeats, each on a fresh SearchContext (a
@@ -32,12 +32,14 @@ CASES = (
     ("fraction_monoid", {"v": 4, "M": 4}, "frac", "y", 9),
     ("dyadic", {"nmax": 5}, "max", "two", 9),
     ("rational_valuation", {"denBound": 5}, "xV", "x", 3),
+    ("rational_valuation", {"denBound": 7}, "xV", "x", 3),
 )
 
 # (family, parameters, I, B) for find_vsft_witness with kmin = kmax = 2
 WITNESS_CASES = (
     ("rational_valuation", {"denBound": 5}, "xV", "x"),
     ("rational_valuation", {"denBound": 6}, "xV", "x"),
+    ("rational_valuation", {"denBound": 7}, "xV", "x"),
 )
 
 # (family, parameters, ideal, A): B.contains((a,)) for a < A on one context

@@ -499,7 +499,11 @@ class IntIdeal:
 
     def times_generators(self, points, ctx: SearchContext) -> list:
         """The distinct products of the keys `points` with the generators,
-        in first-seen order."""
+        in first-seen order; charged one multiset per pair, refused up
+        front when they would not fit."""
+        count = len(points) * len(self.generators)
+        ctx.precheck_multisets(count)
+        ctx.charge_multisets(count)
         return list(dict.fromkeys(self.multiply(x, g, ctx) for x in points
                                   for g in self.generators))
 

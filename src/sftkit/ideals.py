@@ -14,14 +14,16 @@ the presentation's denominator bound, with integer weights
 lattice points, so building, multiplying and comparing ideals never leaves
 the frame; `gens` is the ExponentVector view. Each power step sums the
 previous power's generators with the base's: as a pair loop, or in rank 1 as
-a bitset sumset with the same result.
+a bitset sumset with the same result. Each route is charged for what it
+forms: the pair loop one multiset per pair, the sumset one per distinct sum.
 
 Membership of a point in an ideal loops over the generators g, lightest
 first, asking whether the point minus g is in the monoid. In rank 1 the
 loop is answered from the ideal's generator bitsets and a byte copy of the
-context's one reachability bitset, charging the nodes the loop would
-(_rank1_member); first_pair_outside scans generator pairs by shifts for
-the witness search in the same way.
+context's one reachability bitset, one node per query that reads it, as the
+reachability bit test is charged (_rank1_member); first_pair_outside scans
+generator pairs by shifts for the witness search, one multiset per distinct
+sum it decides.
 
 MonomialIdeal also carries the ideal protocol the verdict layer is written
 against: its elements are lattice points, `generators` lists them,
@@ -91,12 +93,13 @@ class MonomialIdeal:
         """What _rank1_member reads, fixed per ideal: (bit g for each
         generator g, bit gmax - g for each, the least generator g0, the
         largest gmax, the least monoid generator m). None off rank 1, on a
-        monoid without generators, or when the generators are not strictly
-        ascending inside the membership table's range 0.._RANK1_BOUND."""
+        monoid or an ideal without generators, or when the generators are
+        not strictly ascending inside the membership table's range
+        0.._RANK1_BOUND."""
         S = self.monoid
-        if S.dim != 1 or not S.gens:
+        if S.dim != 1 or not S.gens or not self.generators:
             return None
-        vals = [g for (g,) in self.generators] or [0]  # empty: g0 = gmax = 0
+        vals = [g for (g,) in self.generators]
         if not (0 <= vals[0] and vals[-1] <= exponents._RANK1_BOUND) or any(
                 x >= y for x, y in zip(vals, vals[1:])):
             return None
@@ -141,10 +144,10 @@ class MonomialIdeal:
     def times_generators(self, points, ctx: SearchContext) -> list:
         """The distinct products of `points` with the generators, in
         first-seen order of the (point, generator) pairs, the points taken
-        in ascending order in rank 1."""
+        in ascending order in rank 1; charged as _sums charges."""
         if self.monoid.dim == 1:
             points = sorted(points)
-        return list(_sums(self.monoid, points, self.generators))
+        return list(_sums(self.monoid, points, self.generators, ctx))
 
     def radical_index(self, v: tuple, kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:
@@ -349,22 +352,19 @@ def _rank1_member(I: MonomialIdeal, a: int, ctx: SearchContext) -> Optional[bool
     g0 (L the table bound, g0 the least generator of I), where the loop
     would grow the table or search.
 
-    The loop takes the generators g ascending. It charges one node for each
-    g <= a - m (m the least monoid generator; a nearer g needs no search),
-    and stops at the first g with a - g in S. The table's bits a - gmax ..
-    a - g0, read off as bytes so the cost does not grow with L, line up
-    with the generators reflected about gmax: their AND marks every g with
-    a - g a nonzero element of S, so a - g >= m. The lowest mark is where
-    the loop stops, and popcounts give the nodes it charges, which are
-    charged as the loop's one-node queries would be: a budget stops at the
-    same count. a itself a generator is a member at no charge.
+    No search is due when a - m < g0 (m the least monoid generator): then
+    a is a member iff it is a generator, at no charge. Otherwise the
+    table's bits a - gmax .. a - g0, read off as bytes so the cost does not
+    grow with L, line up with the generators reflected about gmax: their
+    AND marks every g with a - g a nonzero element of S, and a is a member
+    iff some g is marked or a is a generator. A query that reads the table
+    is charged one node, as the reachability bit test is.
     """
     fixed = I._rank1
     if fixed is None:
         return None
     gbits, reflected, g0, gmax, m = fixed
-    cap = a - m
-    if cap < g0:
+    if a - m < g0:
         return a >= 0 and bool(gbits >> a & 1)  # no search is due
     tables = I.monoid._ctx_tables(ctx)
     table = tables.get("rank1")
@@ -379,16 +379,8 @@ def _rank1_member(I: MonomialIdeal, a: int, ctx: SearchContext) -> Optional[bool
     first = lo if lo > 0 else 0
     window = int.from_bytes(nonzero[1][first >> 3:((a - g0) >> 3) + 1],
                             "little") >> (first & 7) << (first - lo)
-    hits = window & reflected
-    if hits:
-        h = gmax - hits.bit_length() + 1
-        n, found = (gbits & ((2 << h) - 1)).bit_count(), True
-    else:
-        n, found = (gbits & ((2 << cap) - 1)).bit_count(), bool(gbits >> a & 1)
-    if n:
-        left = ctx.budgets.search_nodes - ctx.nodes_used
-        ctx.charge_nodes(n if n <= left else max(1, left + 1))
-    return found
+    ctx.charge_nodes(1)
+    return bool(window & reflected) or bool(gbits >> a & 1)
 
 
 def _pair_sums(layer: list, base: tuple) -> dict:
@@ -428,12 +420,21 @@ def _rank1_sums(layer: list, base: tuple) -> dict:
     return first
 
 
-def _sums(S: MonoidPresentation, points: list, base: tuple) -> dict:
-    """_pair_sums of points and base; in rank 1, with points ascending, a
-    bitset sumset while it spans no more than the membership table does."""
+def _sums(S: MonoidPresentation, points: list, base: tuple,
+          ctx: SearchContext) -> dict:
+    """_pair_sums of points and base, charged for what the route forms. In
+    rank 1, with points ascending, a bitset sumset while it spans no more
+    than the membership table does, charged one multiset per distinct sum
+    it returns; otherwise the pair loop, charged |points|·|base| multisets
+    and refused up front when they would not fit."""
     if (S.dim == 1 and points and base and points[-1][0] - points[0][0]
             + base[-1][0] - base[0][0] <= exponents._RANK1_BOUND):
-        return _rank1_sums(points, base)
+        first = _rank1_sums(points, base)
+        ctx.charge_multisets(len(first))
+        return first
+    count = len(points) * len(base)
+    ctx.precheck_multisets(count)
+    ctx.charge_multisets(count)
     return _pair_sums(points, base)
 
 
@@ -455,13 +456,12 @@ def first_pair_outside(I: MonomialIdeal, B, inside: dict,
     by B.contains and recorded there; the first one outside B is the
     witness.
 
-    Charged as the pair loop is: one multiset per pair up to and including
-    the witness (all C(n, 2) without one), and B.contains's nodes once per
-    distinct sum in scan order, so a budget runs out at the same pair with
-    the same counts. Requires rank1_pair_scan_fits(I).
+    Charged for what it forms: one multiset per distinct sum it decides,
+    up to and including the witness, and B.contains's nodes once per
+    distinct sum in scan order. Requires rank1_pair_scan_fits(I).
     """
     vals = [g for (g,) in I.generators]
-    n, lo = len(vals), vals[0]
+    lo = vals[0]
     index = {g: j for j, g in enumerate(vals)}
     bits = I._rank1[0] >> lo
     seen = 0  # bit s: the sum 2*lo + s was met in an earlier row
@@ -469,21 +469,17 @@ def first_pair_outside(I: MonomialIdeal, B, inside: dict,
         off = gi - lo
         new = ((bits >> (off + 1)) << (2 * off + 1)) & ~seen
         seen |= new
-        last = i  # pairs (i, i+1..last) charged so far
         while new:
             low = new & -new
             s = low.bit_length() - 1
-            j = index[s - off + lo]
-            ctx.charge_multisets(j - last)
-            last = j
+            ctx.charge_multisets(1)
             v = (2 * lo + s,)
             hit = inside.get(v)
             if hit is None:
                 hit = inside[v] = B.contains(v, ctx)
             if not hit:
-                return (i, j), v
+                return (i, index[s - off + lo]), v
             new ^= low
-        ctx.charge_multisets(n - 1 - last)
     return None
 
 
@@ -495,8 +491,7 @@ def _powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
     factorization into indices of I's generators: that of the first
     (generator of I^(m-1), generator of I) pair, both in canonical order,
     that sums to it. A step is enumerated and charged only when the
-    consumer asks for it, and it charges |I^(m-1)|·|I| multisets, the
-    products it stands for, whichever route sums them.
+    consumer asks for it, and it is charged as _sums charges its route.
     """
     S = I.monoid
     base = I.generators
@@ -504,10 +499,7 @@ def _powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
     current = I
     for m in range(1, mmax + 1):
         if m > 1 and base:
-            count = len(layer) * len(base)
-            ctx.precheck_multisets(count)
-            ctx.charge_multisets(count)
-            first = _sums(S, list(layer), base)
+            first = _sums(S, list(layer), base, ctx)
             kept = minimalize(S, first, ctx)
             factors = list(layer.values())
             layer = {}
@@ -555,20 +547,15 @@ def least_power_inside(I, B, cap: int, ctx: SearchContext) -> Optional[int]:
     invariant, the outside set at each step is G-invariant, and the
     products of its representatives with I's generators reach every orbit
     of the next one, so each orbit is decided once and the least n is the
-    same. Otherwise the representative is the point itself. Each step
-    charges |outside representatives|·|I| multisets, the products it
-    forms.
+    same. Otherwise the representative is the point itself. Each step is
+    charged by I.times_generators for the products of the representatives
+    it forms.
     """
     rep = orbit_rep(I, B)
     outside: list = []
     for n in range(1, cap + 1):
-        if n == 1:
-            products = I.generators
-        else:
-            count = len(outside) * len(I.generators)
-            ctx.precheck_multisets(count)
-            ctx.charge_multisets(count)
-            products = I.times_generators(outside, ctx)
+        products = (I.generators if n == 1
+                    else I.times_generators(outside, ctx))
         outside = [x for x in dict.fromkeys(map(rep, products))
                    if not B.contains(x, ctx)]
         if not outside:

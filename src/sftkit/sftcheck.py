@@ -331,14 +331,14 @@ def verify_vsft(model: RingModel, data: SftData,
 def _first_combo_outside(I, B, k, member_cache, ctx):
     """(combo, product) for the lexicographically least k distinct
     generators of I whose product is not in B, or None. One multiset per
-    combination; B.contains runs once per distinct product, its answer kept
-    in member_cache."""
+    combination, charged as it is drawn, and refused up front when all
+    C(n, k) would not fit; B.contains runs once per distinct product, its
+    answer kept in member_cache."""
     gens = I.generators
-    for combo in itertools.combinations(range(len(gens)), k):
-        ctx.charge_multisets(1)
-        prod = gens[combo[0]]
-        for j in combo[1:]:
-            prod = I.multiply(prod, gens[j], ctx)
+    ctx.precheck_multisets(math.comb(len(gens), k))
+    combos = (c for c in itertools.combinations(range(len(gens)), k)
+              if not ctx.charge_multisets(1))
+    for combo, prod in _prefix_products(combos, gens, I.multiply, ctx):
         inside = member_cache.get(prod)
         if inside is None:
             inside = member_cache[prod] = B.contains(prod, ctx)
@@ -357,7 +357,7 @@ def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
     Combinations are tried in lexicographic order, one multiset each, and
     B.contains runs once per distinct product. At k = 2 on a rank-1
     MonomialIdeal, ideals.first_pair_outside finds the same pair by bitset
-    shifts, charging the same multisets and nodes."""
+    shifts, charged one multiset per distinct sum it decides."""
     if kmax < 1 or kmin < 1 or kmin > kmax:
         raise PreconditionViolated("1 <= kmin <= kmax", f"got [{kmin},{kmax}]")
     gens = I.generators
@@ -369,7 +369,6 @@ def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
     per_k = []
     last_witness = None
     for k in range(kmin, kmax + 1):
-        ctx.precheck_multisets(math.comb(len(gens), k))
         if k == 2 and rank1_pair_scan_fits(I):
             hit = first_pair_outside(I, B, member_cache, ctx)
         else:
@@ -550,14 +549,11 @@ def check_extension_vsft(model: RingModel, data: SftData, degree: int,
     combos = math.comb(len(items) + data.n - 1, data.n)
     ctx.precheck_multisets(combos)
     ctx.charge_multisets(combos)
-    checked = 0
-    for combo in itertools.combinations_with_replacement(items, data.n):
-        prod = combo[0]
-        for f in combo[1:]:
-            prod = element_multiply(prod, f, ctx)
+    for _, prod in _prefix_products(
+            itertools.combinations_with_replacement(range(len(items)), data.n),
+            items, element_multiply, ctx):
         if not element_in_ideal(prod, data.B, ctx):
             raise AssertionError("t-layer contradicts the exact containment")
-        checked += 1
     # sampled general products
     for i in range(samples):
         ctx.charge_samples()
@@ -573,7 +569,7 @@ def check_extension_vsft(model: RingModel, data: SftData, degree: int,
                            witness={"kind": "element", "sample": i,
                                     "element": repr(prod)})
     return _report(claim, Verdict.VERIFIED, model, ctx, exact=True,
-                   seed=seed, degree=degree, t_products_checked=checked,
+                   seed=seed, degree=degree, t_products_checked=combos,
                    samples=samples)
 
 

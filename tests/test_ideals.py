@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 import pytest
 
@@ -335,14 +335,18 @@ class TestLatticeFrame:
         assert m == 4
 
     def test_each_power_enumerated_once(self):
-        # the rank-1 sumset charges the pairs a step stands for, like the
-        # pair loop, not the shifts it does
+        # each step is charged for what it forms: the pair loop one multiset
+        # per pair, the rank-1 sumset one per distinct sum
         for I in (monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)]),
                   monomial_ideal(NUMERICAL, [ev(3), ev(5), ev(7)])):
-            sizes = [len(I.power(m).gens) for m in (1, 2, 3)]
+            want = 0
+            for m in (1, 2, 3):
+                sums = [tuple(map(add, p, g)) for p in I.power(m).generators
+                        for g in I.generators]
+                want += len(set(sums)) if I.monoid.dim == 1 else len(sums)
             ctx = SearchContext()
             I.power(4, ctx)
-            assert ctx.multisets_used == sum(n * len(I.gens) for n in sizes)
+            assert ctx.multisets_used == want
 
     def test_rank1_sums_match_pair_loop(self):
         rng = random.Random(7)
@@ -529,11 +533,15 @@ def loop_member(I, v, ctx) -> bool:
 
 def pair_loop(I, B, inside, ctx):
     """first_pair_outside as the pair loop: every pair i < j in
-    lexicographic order, one multiset each, B.contains once per sum."""
+    lexicographic order, one multiset per distinct sum as it is first met,
+    B.contains once per sum."""
     gens = I.generators
+    formed = set()
     for i, j in itertools.combinations(range(len(gens)), 2):
-        ctx.charge_multisets(1)
         v = I.multiply(gens[i], gens[j])
+        if v not in formed:
+            formed.add(v)
+            ctx.charge_multisets(1)
         hit = inside.get(v)
         if hit is None:
             hit = inside[v] = B.contains(v, ctx)
@@ -587,21 +595,47 @@ def outcome(run):
         return ("abort", str(exc))
 
 
-class TestRank1Bitset:
-    """ideal_lattice_member answers rank-1 queries from bitsets; answers,
-    node counts, table growth and budget aborts are the loop's."""
+@pytest.fixture
+def routed(monkeypatch) -> list:
+    """Whether _rank1_member answered each query, in query order; a query
+    it raises on, by running out of nodes, counts as answered."""
+    answered = []
+    route = ideals._rank1_member
 
-    def run_queries(self, seed, S, I, budget, warm):
-        """One seeded query sequence on a fresh pair of contexts; the nodes
-        it used."""
+    def counted(I, a, ctx):
+        answered.append(True)
+        found = route(I, a, ctx)
+        answered[-1] = found is not None
+        return found
+
+    monkeypatch.setattr(ideals, "_rank1_member", counted)
+    return answered
+
+
+class TestRank1Bitset:
+    """ideal_lattice_member answers rank-1 queries from bitsets. Answers
+    and table growth are the loop's. A query answered from the table is
+    charged one node, one answered without reading it none, and one handed
+    to the loop the loop's nodes; a node budget stops the first query
+    whose charge passes it."""
+
+    def run_queries(self, routed, seed, S, I, budget, warm):
+        """One seeded query sequence on a fresh pair of contexts, the
+        route's under `budget` and the loop's unbounded; the nodes the
+        route's used."""
         rng = random.Random(seed)
         fast = SearchContext(Budgets(search_nodes=budget))
-        slow = SearchContext(Budgets(search_nodes=budget))
+        slow = SearchContext()
         if warm:  # another query on the context built the table first
             v = (rng.randint(0, 100),)
-            assert outcome(lambda: S.lattice_contains(v, fast)) == outcome(
-                lambda: S.lattice_contains(v, slow))
+            want = S.lattice_contains(v, slow)
+            got = outcome(lambda: S.lattice_contains(v, fast))
+            if slow.nodes_used > budget:
+                assert isinstance(got, tuple)
+                return fast.nodes_used
+            assert got == want
         g0 = I.generators[0][0] if I.generators else 0
+        m = min(g[0] for g in S._pack["scaled"])
         targets = [rng.randint(-20, 120), 0, -3, g0, g0 + 1]
         targets += [g for (g,) in I.generators[1:8]]
         targets += [rng.randint(-5, 300) for _ in range(12)]
@@ -616,46 +650,45 @@ class TestRank1Bitset:
             if step >= len(targets):
                 break
             v = (targets[step],)
+            start, before = fast.nodes_used, slow.nodes_used
             got = outcome(lambda: ideal_lattice_member(I, v, fast))
-            want = outcome(lambda: loop_member(I, v, slow))
+            want = loop_member(I, v, slow)
+            if not routed[-1]:
+                charge = slow.nodes_used - before
+            else:
+                charge = int(v[0] - m >= g0)  # read the table
             where = (S.gens, I.generators, budget, targets[:step + 1])
+            if start + charge > budget:
+                assert isinstance(got, tuple), where
+                break
             assert got == want, where
-            assert fast.nodes_used == slow.nodes_used, where
+            assert fast.nodes_used == start + charge, where
             tables = [S._ctx_tables(c).get("rank1", (None,))[0]
                       for c in (fast, slow)]
             assert tables[0] == tables[1], where
-            if isinstance(got, tuple):
-                break
         return fast.nodes_used
 
-    def check_random(self, rng, trials, kinds):
+    def check_random(self, routed, rng, trials, kinds):
         """Each instance unbounded, then again under a node budget drawn
         from what it used, so the stop lands anywhere in the sequence."""
         for trial in range(trials):
             S = random_numerical(rng)
             I = random_rank1_ideal(rng, S, kinds[trial % len(kinds)])
             seed, warm = rng.random(), trial % 7 == 0
-            used = self.run_queries(seed, S, I, 10 ** 9, warm)
-            self.run_queries(seed, S, I, rng.randint(0, used), warm)
+            used = self.run_queries(routed, seed, S, I, 10 ** 9, warm)
+            self.run_queries(routed, seed, S, I, rng.randint(0, used), warm)
 
-    def test_matches_generator_loop_on_random_presentations(self, monkeypatch):
-        answered = []
-        route = ideals._rank1_member
+    def test_matches_generator_loop_on_random_presentations(self, routed):
+        self.check_random(routed, random.Random(20261019), 300, KINDS)
+        assert sum(routed) > len(routed) // 2
 
-        def counted(I, a, ctx):
-            found = route(I, a, ctx)
-            answered.append(found is not None)
-            return found
-
-        monkeypatch.setattr(ideals, "_rank1_member", counted)
-        self.check_random(random.Random(20261019), 300, KINDS)
-        assert sum(answered) > len(answered) // 2
-
-    def test_matches_generator_loop_past_the_bitset_bound(self, monkeypatch):
+    def test_matches_generator_loop_past_the_bitset_bound(self, routed,
+                                                          monkeypatch):
         # a table wider than _RANK1_BOUND: differences past the bound take
         # the depth-first search, so the bitset route stops at the bound
         monkeypatch.setattr(exponents, "_RANK1_BOUND", 300)
-        self.check_random(random.Random(5), 60, KINDS[2:])
+        self.check_random(routed, random.Random(5), 60, KINDS[2:])
+        assert any(routed) and not all(routed)
 
     def test_catalog_ideal_batch_matches(self):
         m = build_model("rational_valuation", denBound=4)
@@ -669,7 +702,8 @@ class TestRank1Bitset:
 
 class TestPairScan:
     """first_pair_outside against the pair loop: same witness, same
-    member cache in the same order, same meters, same budget aborts."""
+    member cache in the same order, same meters (one multiset per distinct
+    sum met), same budget aborts."""
 
     def test_matches_pair_loop(self):
         rng = random.Random(41)
@@ -728,7 +762,6 @@ def full_least_power_inside(I, B, cap, ctx):
         if n == 1:
             products = I.generators
         else:
-            ctx.charge_multisets(len(outside) * len(I.generators))
             products = I.times_generators(outside, ctx)
         outside = [x for x in products if not B.contains(x, ctx)]
         if not outside:

@@ -11,6 +11,7 @@ the opposite verdict.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -277,21 +278,52 @@ class TestBudgetPolicy:
         for r in results:
             assert r.report.verdict.value in (
                 r.claim.expected, Verdict.INCONCLUSIVE_AT_TRUNCATION.value)
+        # only integer-model claims, whose products pass the quick
+        # profile's degree cap of 16
+        held = [r.claim.id for r in results if r.report.verdict
+                is Verdict.INCONCLUSIVE_AT_TRUNCATION]
+        assert held == [
+            "int-sft-gens", "int-sft-all", "int-sft-idx3-sampled", "int-vsft",
+            "int-witness-none", "int-minimal-index", "int-power-m4",
+            "int-modified-radical", "int-ext-vsft", "int-quotient-xD",
+            "int-radical-equal", "int-anyradical"]
+        assert all(r.report.details["budget_exhausted"]
+                   == "DegreeBudgetExceeded" for r in results
+                   if r.claim.id in held)
         assert exit_code(results) == 2
 
     def test_power_meter_counts_products_not_shifts(self):
-        # the rank-1 sumset builds xV^2 at denBound 7 from 5,040 shifts, but
-        # the multisets meter still charges the 5,040^2 products they stand
-        # for: past the default budget, inside the deep one
+        # the rank-1 sumset builds xV^2 at denBound 7 from 5,040 shifts and
+        # is charged one multiset per distinct product it forms, not the
+        # 5,040^2 pairs a pair loop would form
         m = build_model("rational_valuation", denBound=7)
-        models = {"rational_valuation": m}
-        claim = claim_by_id("xv-vsft")
-        deep = run_claim(claim, models=models, budgets=PROFILES["deep"])
-        assert deep.verdict is Verdict.VERIFIED
-        assert deep.budgets_used["multisets"] == 5040 ** 2 == 25_401_600
-        short = run_claim(claim, models=models, budgets=PROFILES["default"])
-        assert short.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
-        assert short.details["budget_exhausted"] == "CombinatorialBudgetExceeded"
+        gens = [g for (g,) in m.ideal("xV").generators]
+        bits = sum(1 << g for g in gens)
+        products = 0  # bit s: s is a sum of two generators
+        for g in gens:
+            products |= bits << g
+        assert len(gens) == 5040 and products.bit_count() == 10_079
+        rep = run_claim(claim_by_id("xv-vsft"),
+                        models={"rational_valuation": m},
+                        budgets=PROFILES["default"])
+        assert rep.verdict is Verdict.VERIFIED
+        assert rep.budgets_used["multisets"] == products.bit_count()
+
+    def test_paper_example_verifies_at_den_bound_7(self):
+        # the F_2 + xV example one truncation past the catalog's, under the
+        # default budgets: the index stays 2 at every level
+        models = {"rational_valuation":
+                  build_model("rational_valuation", denBound=7)}
+        for cid in ("xv-minimal-index", "xv-witness-none"):
+            rep = run_claim(claim_by_id(cid), models=models, budgets=Budgets())
+            assert rep.verdict is Verdict.VERIFIED, cid
+        div = claim_by_id("xv-divergence")
+        levels = list(range(2, 8))
+        div = dataclasses.replace(div, params=tuple(
+            sorted({**div.param_map, "levels": levels}.items())))
+        rep = run_claim(div, budgets=Budgets())
+        assert rep.verdict is Verdict.VERIFIED
+        assert rep.details["indices"] == [2] * len(levels)
 
     def test_divergence_charges_model_builds_to_its_report(self, monkeypatch):
         # every level's model is built on the claim's context, so the
@@ -875,8 +907,9 @@ class TestWitnessSearchInputs:
 
 class TestRank1PairScan:
     """find_vsft_witness at k = 2 on rank-1 ideals scans pairs by shifts;
-    its reports equal the combination loop's, per_k and meters included,
-    also when a node budget stops either one midway."""
+    its reports equal those of the combination loop charged one multiset
+    per distinct product it meets, per_k and meters included, also when a
+    node budget stops either one midway."""
 
     CASES = [("dyadic", {"nmax": 5}, "max", "two", 1, 4),
              ("dyadic", {"nmax": 8}, "max", "two", 2, 3),
@@ -903,7 +936,26 @@ class TestRank1PairScan:
         # past the table build, a stop lands inside the pair queries
         budgets = [10 ** 9, 0, full // 2, *range(max(full - 40, 0), full + 1, 3)]
         scanned = [report(b) for b in budgets]
+        loop = sftcheck._first_combo_outside
+
+        def pairs_by_product(I, B, k, member_cache, ctx):
+            if k != 2:
+                return loop(I, B, k, member_cache, ctx)
+            formed = set()
+            for i, j in itertools.combinations(range(len(I.generators)), 2):
+                prod = I.multiply(I.generators[i], I.generators[j])
+                if prod not in formed:
+                    formed.add(prod)
+                    ctx.charge_multisets(1)
+                inside = member_cache.get(prod)
+                if inside is None:
+                    inside = member_cache[prod] = B.contains(prod, ctx)
+                if not inside:
+                    return (i, j), prod
+            return None
+
         monkeypatch.setattr(sftcheck, "rank1_pair_scan_fits", lambda I: False)
+        monkeypatch.setattr(sftcheck, "_first_combo_outside", pairs_by_product)
         for b, got in zip(budgets, scanned):
             assert got == report(b), (family, b)
 
