@@ -40,8 +40,9 @@ PROFILES = {
 
 
 def budgets_from_env() -> Budgets:
-    """Default budgets, honoring the SFTKIT_BUDGET_PROFILE environment
-    variable; an unknown profile name is an input error."""
+    """The profile the SFTKIT_BUDGET_PROFILE environment variable names
+    (default when unset); an unknown name is an input error. Only the
+    command line reads it: the library's default is Budgets()."""
     name = os.environ.get(ENV_PROFILE, "default")
     try:
         return PROFILES[name]
@@ -54,7 +55,7 @@ def budgets_from_env() -> Budgets:
 class SearchContext:
     """Meters plus per-presentation search tables for one operation."""
 
-    budgets: Budgets = field(default_factory=budgets_from_env)
+    budgets: Budgets = field(default_factory=Budgets)
     nodes_used: int = 0
     multisets_used: int = 0
     samples_used: int = 0

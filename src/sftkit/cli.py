@@ -59,7 +59,12 @@ def _budget_options(fn):
 
 
 def _resolve_budgets(profile, nodes, multisets, samples, degree_cap) -> Budgets:
-    base = PROFILES[profile] if profile else budgets_from_env()
+    """The one place budgets are chosen: the flags over the profile
+    SFTKIT_BUDGET_PROFILE names, which must name one even when
+    --budget-profile overrides it."""
+    base = budgets_from_env()
+    if profile:
+        base = PROFILES[profile]
     overrides = {k: v for k, v in {
         "search_nodes": nodes,
         "multisets": multisets,
@@ -336,6 +341,7 @@ def nt_multinomial(n, parts) -> None:
 def export(name, output) -> None:
     """Write a model record, or 'catalog': all models plus the claim suite."""
     try:
+        budgets_from_env()  # an unknown profile name is refused here too
         if name == "catalog":
             models, claims = builtin_catalog()
             doc = claims_doc(claims, models=models)

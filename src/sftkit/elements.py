@@ -129,7 +129,7 @@ class CharPMonoidRing(_MonoidRing):
         p = self.p
         S = self.monoid
         weight = S.lattice_weight
-        killable = S.kill is not None
+        killable = S.kills
         out = []
         for (v, td), c in acc.items():
             c %= p
@@ -662,16 +662,16 @@ def _sample_once(ring, ideal, degree_bound, rng, ctx):
 def alive_ideal_monomials(ring: CharPMonoidRing, I: MonomialIdeal,
                           ctx: Optional[SearchContext] = None) -> list[ExponentVector]:
     """All non-killed monomials of I in an entry-bounded quotient; only
-    defined when the kill predicate bounds every coordinate."""
+    defined when S has a kill bound, which bounds every coordinate."""
     S = ring.monoid
-    if not (S.kill and S.kill[0] == "entry_ge"):
+    if S.kill_bound is None:
         raise UnsupportedIdeal("finite enumeration needs an entry-bounded quotient")
     _check_frame(S, I)
     if ctx is None:
         ctx = SearchContext()
     s0 = S.denominator_bound
     out = []
-    for combo in itertools.product(range(0, S.kill[1] * s0, s0), repeat=S.dim):
+    for combo in itertools.product(range(0, S.kill_bound * s0, s0), repeat=S.dim):
         if ideal_lattice_member(I, combo, ctx) and not S.lattice_killed(combo, ctx):
             out.append(combo)
     out.sort(key=lambda v: (S.lattice_weight(v), v))

@@ -10,10 +10,10 @@ through the bounded depth-first search in _search_py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, Optional
 
 from . import _search_py
@@ -140,40 +140,20 @@ class MonoidMembershipWitness:
         return acc
 
 
-# kill specs describe which monomials are identified with zero in a
-# truncated quotient; they must be monotone under monomial divisibility.
-#   ("entry_ge", p)        some coordinate reaches p
-#   ("ideal_gens", (g,..)) the monomial lies in the ideal the vectors generate
-#   ("or", s1, s2)         union of two specs
-def _validate_kill(spec, dim: int):
-    if spec is None:
-        return
-    tag = spec[0]
-    if tag == "entry_ge":
-        if len(spec) != 2 or not isinstance(spec[1], int) or spec[1] < 1:
-            raise ValueError(f"bad kill spec {spec!r}")
-    elif tag == "ideal_gens":
-        if len(spec) != 2 or not isinstance(spec[1], tuple):
-            raise ValueError(f"bad kill spec {spec!r}")
-        for g in spec[1]:
-            if not isinstance(g, ExponentVector) or g.dim != dim:
-                raise ValueError("kill ideal generators must match the ambient dimension")
-    elif tag == "or":
-        if len(spec) != 3:
-            raise ValueError(f"bad kill spec {spec!r}")
-        _validate_kill(spec[1], dim)
-        _validate_kill(spec[2], dim)
-    else:
-        raise ValueError(f"unknown kill spec tag {tag!r}")
-
-
 @dataclass(frozen=True)
 class MonoidPresentation:
-    """Finitely many generator vectors plus a positive grading.
+    """Finitely many generator vectors plus a positive grading, and the
+    monomials a truncated quotient identifies with zero.
 
     The grading functional (one positive rational per coordinate) must be
     strictly positive on every generator; that is what makes membership
     search terminate and is checked at construction.
+
+    A monomial is zero when one of its entries reaches kill_bound, or when
+    it lies in the ideal the kill_points generate (it is a kill point plus
+    an element of S); either part may be absent, and quotient() adds kill
+    points. The zero set must be closed under multiplication by S, as it is
+    on nonnegative generators.
 
     Construction scales each generator to its lattice point once (see the
     lattice frame below) and runs its checks on those points and the
@@ -185,8 +165,12 @@ class MonoidPresentation:
     dim: int
     gens: tuple[ExponentVector, ...]
     weights: tuple[Fraction, ...]
-    kill: Optional[tuple] = None
+    kill_bound: Optional[int] = None
+    kill_points: tuple[ExponentVector, ...] = ()
     name: str = ""
+    # some monomial is zero (kill_bound or kill_points is given); set by
+    # __post_init__ so the no-kill short-cut is one attribute read
+    kills: bool = field(init=False, repr=False, compare=False)
     # search-ready integer data, built by __post_init__: the lattice frame
     # (generators scaled by the denominator bound s0, in original order, and
     # the integer grading lam), and the same generators sorted by decreasing
@@ -224,7 +208,14 @@ class MonoidPresentation:
                 raise ValueError(f"grading is not positive on generator {g!r}")
             raw.append(v)
             iw.append(w)
-        _validate_kill(self.kill, self.dim)
+        kill_points = tuple(self.kill_points)
+        object.__setattr__(self, "kill_points", kill_points)
+        if self.kill_bound is not None and not (
+                isinstance(self.kill_bound, int) and self.kill_bound >= 1):
+            raise ValueError(f"kill bound must be a positive integer, got {self.kill_bound!r}")
+        if any(not isinstance(g, ExponentVector) or g.dim != self.dim for g in kill_points):
+            raise ValueError("kill points must match the ambient dimension")
+        object.__setattr__(self, "kills", self.kill_bound is not None or bool(kill_points))
         # decreasing weight, ties by index (a reverse sort is stable)
         order = sorted(range(len(raw)), key=iw.__getitem__, reverse=True)
         gens_int = tuple(raw[j] for j in order)
@@ -252,12 +243,12 @@ class MonoidPresentation:
         transposing any two maps the generator set onto itself. The group G
         these permutations generate acts on S by graded automorphisms.
 
-        Membership is invariant under G, so queries are canonicalized
-        before searching (sorting entries within each group); symmetric
-        targets then share one search tree and one memo. Where the kill
-        and an ideal are G-invariant too (_acts_on), the ideal layer and
-        the verdict layer decide ideal questions once per G-orbit, on its
-        representative _orbit_rep (ideals.orbit_rep)."""
+        Membership is invariant under G, so every query is searched as its
+        orbit representative _orbit_rep; symmetric targets then share one
+        search tree and one memo. Where the zero set and an ideal are
+        G-invariant too (_acts_on), the ideal layer and the verdict layer
+        decide ideal questions on the same representatives, once per
+        G-orbit (ideals.orbit_rep)."""
         if self.dim == 1 or not self.gens:
             return ()
         points = self._pack["scaled"]
@@ -282,50 +273,24 @@ class MonoidPresentation:
                     classes.append(tuple(cls))
         return tuple(sorted(classes))
 
-    def _canonical_target(self, v: tuple):
-        """(canonical lattice point, coordinate map) with map[k] = new home
-        of coordinate k; (v, None) when nothing moves."""
+    def _orbit_rep(self, v: tuple) -> tuple:
+        """The representative of v's G-orbit, the one canonical form of a
+        query: each symmetry class's entries in decreasing order."""
         classes = self._sym_classes
         if not classes:
-            return v, None
-        perm = list(range(self.dim))
-        changed = False
-        for cls in classes:
-            # decreasing value, ties by coordinate: a reverse sort is stable
-            # and cls is ascending
-            for pos, k in zip(cls, sorted(cls, key=v.__getitem__, reverse=True)):
-                perm[k] = pos
-                if k != pos:
-                    changed = True
-        if not changed:
-            return v, None
-        canon = [0] * self.dim
-        for k in range(self.dim):
-            canon[perm[k]] = v[k]
-        return tuple(canon), perm
-
-    def _orbit_rep(self, v: tuple) -> tuple:
-        """The representative of v's G-orbit: its canonical target (each
-        class's entries in decreasing order), without the coordinate map."""
+            return v
         out = list(v)
-        for cls in self._sym_classes:
+        for cls in classes:
             for pos, x in zip(cls, sorted([v[k] for k in cls], reverse=True)):
                 out[pos] = x
         return tuple(out)
 
     @cached_property
     def _symmetric(self) -> bool:
-        """G is not trivial and leaves the kill invariant: no kill,
-        entry_ge (a bound on the largest entry), or ideal_gens kill points
-        that _acts_on would accept."""
-        def invariant(spec) -> bool:
-            if spec is None or spec[0] == "entry_ge":
-                return True
-            if spec[0] == "ideal_gens":
-                return self._closed(spec[1])
-            return invariant(spec[1]) and invariant(spec[2])
-
-        return bool(self._sym_classes) and invariant(self._lattice_kill)
+        """G is not trivial and leaves the zero set invariant: a coordinate
+        permutation keeps the largest entry, so the kill bound holds by
+        itself, and the kill points must be closed under G (_closed)."""
+        return bool(self._sym_classes) and self._closed(self._lattice_kill[1])
 
     def _closed(self, points) -> bool:
         """Every transposition (cls[0], b) of a symmetry class maps the
@@ -383,48 +348,42 @@ class MonoidPresentation:
     def is_killed(self, e: ExponentVector, ctx: Optional[SearchContext] = None) -> bool:
         """True when the monomial is identified with zero in the model. A
         vector off the lattice is no monomial of S, so nothing kills it."""
-        if self.kill is None:
+        if not self.kills:
             return False
         v = self.to_lattice(e)
         return v is not None and self.lattice_killed(v, ctx)
 
     def lattice_killed(self, v: tuple, ctx: Optional[SearchContext] = None) -> bool:
-        """is_killed for a lattice point."""
-        return self._killed(self._lattice_kill, v, ctx)
-
-    @cached_property
-    def _lattice_kill(self):
-        """The kill spec in the lattice frame: entry bounds times s0, kill
-        generators as lattice points (one off the lattice divides no point
-        on it, so it is left out)."""
-        def scale(spec):
-            if spec is None:
-                return None
-            tag = spec[0]
-            if tag == "entry_ge":
-                return (tag, spec[1] * self.denominator_bound)
-            if tag == "ideal_gens":
-                return (tag, tuple(v for v in map(self.to_lattice, spec[1])
-                                   if v is not None))
-            return (tag, scale(spec[1]), scale(spec[2]))
-
-        return scale(self.kill)
-
-    def _killed(self, spec, v, ctx) -> bool:
-        if spec is None:
-            return False
-        tag = spec[0]
-        if tag == "entry_ge":
-            return max(v) >= spec[1]
-        if tag == "ideal_gens":
+        """is_killed for a lattice point: the kill bound first, at no
+        charge, then each kill point g in order, by one membership query
+        of v - g, until one answers yes."""
+        bound, points = self._lattice_kill
+        if bound is not None and max(v) >= bound:
+            return True
+        if points:
             if ctx is None:
                 ctx = SearchContext()
-            for g in spec[1]:
-                if self.lattice_contains(tuple(a - b for a, b in zip(v, g)),
-                                         ctx):
+            for g in points:
+                if self.lattice_contains(tuple(map(sub, v, g)), ctx):
                     return True
-            return False
-        return self._killed(spec[1], v, ctx) or self._killed(spec[2], v, ctx)
+        return False
+
+    @cached_property
+    def _lattice_kill(self) -> tuple[Optional[int], tuple]:
+        """(kill bound, kill points) in the lattice frame: the bound times
+        s0, the points as lattice points (one off the lattice divides no
+        point on it, so it is left out)."""
+        bound = self.kill_bound
+        return (None if bound is None else bound * self.denominator_bound,
+                tuple(v for v in map(self.to_lattice, self.kill_points)
+                      if v is not None))
+
+    def quotient(self, points, name: Optional[str] = None) -> "MonoidPresentation":
+        """S with the monomials of the ideal the points generate identified
+        with zero too: its kill points followed by these, under `name`
+        (default: S's own)."""
+        return replace(self, kill_points=self.kill_points + tuple(points),
+                       name=self.name if name is None else name)
 
     # -- membership --------------------------------------------------------
 
@@ -444,11 +403,11 @@ class MonoidPresentation:
                ctx: Optional[SearchContext] = None) -> Optional[MonoidMembershipWitness]:
         """Decide target ∈ S; the witness is deterministic.
 
-        Queries are first canonicalized by sorting entries within
-        interchangeable coordinate groups; for a target already in canonical
-        form the witness is the lexicographically largest multiplicity
-        vector with generators ordered by decreasing weight, and otherwise it
-        is that witness pulled back along the coordinate permutation. It does
+        The query is searched as its orbit representative (_orbit_rep). For
+        a target already in that form the witness is the lexicographically
+        largest multiplicity vector with generators ordered by decreasing
+        weight, and otherwise it is that witness pulled back along the
+        coordinate permutation that sorted the target. It does
         not depend on the queries ctx saw before. A target off the lattice is
         not a member; callers that only need yes or no on a lattice point
         take lattice_contains, which agrees on every answer."""
@@ -460,16 +419,21 @@ class MonoidPresentation:
         found = self._lattice_search(v, ctx)
         if found is None:
             return None
-        counts, query, perm = found
+        counts, query = found
         pack = self._pack
         if counts is None:
             counts = _rank1_counts(query[0], pack["gens_int"])
         order = pack["order"]
         scaled = pack["scaled"]
         pairs = sorted((order[j], c) for j, c in enumerate(counts) if c)
-        if perm is not None:
-            # witness decomposes the canonical target; pull each generator
-            # back through the coordinate map to decompose the original
+        if query != v:
+            # witness decomposes the sorted target; pull each generator back
+            # through the coordinate map (perm[k]: where coordinate k went;
+            # equal entries keep their order) to decompose the original
+            perm = list(range(self.dim))
+            for cls in self._sym_classes:
+                for pos, k in zip(cls, sorted(cls, key=v.__getitem__, reverse=True)):
+                    perm[k] = pos
             remapped: dict[int, int] = {}
             for j, c in pairs:
                 g = scaled[j]
@@ -493,7 +457,7 @@ class MonoidPresentation:
         found = self._lattice_search(v, ctx)
         if found is None:
             return False
-        counts, query, _ = found
+        counts, query = found
         if (counts is not None and _resum(zip(self._pack["gens_int"], counts),
                                           self.dim) != query):
             # soundness guard; never expected to fire
@@ -502,18 +466,18 @@ class MonoidPresentation:
 
     def _lattice_search(self, v: tuple, ctx: SearchContext):
         """The boundary member and lattice_contains share: None for a
-        non-member, else (counts over gens_int, the canonical target they
-        sum to, its coordinate map from _canonical_target). counts is None
-        for a rank-1 member, which is one bit test with no read-off."""
+        non-member, else (counts over gens_int, the orbit representative
+        of v they sum to). counts is None for a rank-1 member, which is one
+        bit test with no read-off."""
         if not any(v):
-            return [], v, None
+            return [], v
         if not self.gens:
             return None
         pack = self._pack
         wtarget = self.lattice_weight(v)
         if wtarget < 0:
             return None
-        query, perm = self._canonical_target(v)
+        query = self._orbit_rep(v)
         if self.dim == 1 and 0 <= query[0] <= _RANK1_BOUND:
             a = query[0]
             bits = self._rank1_table(a, ctx)
@@ -531,7 +495,7 @@ class MonoidPresentation:
                 raise SearchBudgetExceeded(ctx.nodes_used)
             if status == _search_py.NOT_MEMBER:
                 return None
-        return counts, query, perm
+        return counts, query
 
     def _ctx_tables(self, ctx: SearchContext) -> dict:
         """This presentation's search tables in the context: the rank-1

@@ -147,17 +147,15 @@ def _first_diff(a, b, path: str) -> Optional[str]:
 # model records
 
 
-def _kill_to_jsonable(spec):
-    if spec is None:
-        return None
-    kind = spec[0]
-    if kind == "entry_ge":
-        return ["entry_ge", spec[1]]
-    if kind == "ideal_gens":
-        return ["ideal_gens", [jsonify(e) for e in spec[1]]]
-    if kind == "or":
-        return ["or", _kill_to_jsonable(spec[1]), _kill_to_jsonable(spec[2])]
-    raise TypeError(f"unknown zero-monomial spec {kind!r}")
+def _kill_to_jsonable(S) -> Optional[list]:
+    """The record form of S's zero set: ["entry_ge", bound],
+    ["ideal_gens", points], ["or" of both], or None."""
+    bound = None if S.kill_bound is None else ["entry_ge", S.kill_bound]
+    points = (["ideal_gens", [jsonify(e) for e in S.kill_points]]
+              if S.kill_points else None)
+    if bound and points:
+        return ["or", bound, points]
+    return bound or points
 
 
 def model_to_record(model: RingModel) -> dict:
@@ -172,7 +170,7 @@ def model_to_record(model: RingModel) -> dict:
             "dim": S.dim,
             "weights": [str(w) for w in S.weights],
             "gens": [_lattice_json(v, S.denominator_bound) for v in S._pack["scaled"]],
-            "kill": _kill_to_jsonable(S.kill),
+            "kill": _kill_to_jsonable(S),
         }
     ideals = []
     for name, handle in model.ideals:

@@ -139,7 +139,7 @@ class MonomialIdeal:
 
     def products(self, n: int, ctx: Optional[SearchContext] = None) -> list:
         """(factors, point) for each generator of I^n; factors index gens."""
-        return _factored(_power(self, n, ctx)[1])
+        return [(factors, v) for v, factors in _power(self, n, ctx)[1].items()]
 
     def times_generators(self, points, ctx: SearchContext) -> list:
         """The distinct products of `points` with the generators, in
@@ -207,10 +207,6 @@ def one_per_orbit(points, *ideals) -> Iterator[tuple[int, object]]:
             yield i, x
 
 
-def _factored(layer: dict) -> list:
-    return [(factors, v) for v, factors in layer.items()]
-
-
 def _divides(S: MonoidPresentation, d: tuple, wd: int, ctx: SearchContext) -> bool:
     """Membership in S of a lattice difference d of weight wd, with cheap
     rejections before the engine runs.
@@ -251,7 +247,7 @@ def minimalize(S: MonoidPresentation, points, ctx: SearchContext) -> list[tuple]
     """
     weighted = {}
     for v in points:
-        if v not in weighted and not (S.kill is not None and S.lattice_killed(v, ctx)):
+        if v not in weighted and not (S.kills and S.lattice_killed(v, ctx)):
             weighted[v] = S.lattice_weight(v)
     order = sorted(weighted, key=lambda v: (weighted[v], v))
     rep = None  # chosen at the first redundancy test, which many calls never make
@@ -332,7 +328,7 @@ def ideal_member(I: MonomialIdeal, target: ExponentVector,
 def ideal_lattice_member(I: MonomialIdeal, v: tuple, ctx: SearchContext) -> bool:
     """ideal_member for a lattice point of I's monoid."""
     S = I.monoid
-    if S.kill is not None and S.lattice_killed(v, ctx):
+    if S.kills and S.lattice_killed(v, ctx):
         return True
     if S.dim == 1:
         found = _rank1_member(I, v[0], ctx)
@@ -483,42 +479,33 @@ def first_pair_outside(I: MonomialIdeal, B, inside: dict,
     return None
 
 
-def _powers(I: MonomialIdeal, mmax: int, ctx: SearchContext
-            ) -> Iterator[tuple[int, MonomialIdeal, dict[tuple, tuple[int, ...]]]]:
-    """(m, I^m, layer) for m = 1..mmax, each power minimalize(I^(m-1)·I).
+def _power(I: MonomialIdeal, m: int, ctx: Optional[SearchContext]
+           ) -> tuple[MonomialIdeal, dict[tuple, tuple[int, ...]]]:
+    """(I^m, layer), each power from 2 to m minimalize(I^(m-1)·I), charged
+    as _sums charges its route.
 
     layer maps each generator of I^m, in canonical order, to one
     factorization into indices of I's generators: that of the first
     (generator of I^(m-1), generator of I) pair, both in canonical order,
-    that sums to it. A step is enumerated and charged only when the
-    consumer asks for it, and it is charged as _sums charges its route.
+    that sums to it.
     """
-    S = I.monoid
-    base = I.generators
-    layer = {v: (i,) for i, v in enumerate(base)}
-    current = I
-    for m in range(1, mmax + 1):
-        if m > 1 and base:
-            first = _sums(S, list(layer), base, ctx)
-            kept = minimalize(S, first, ctx)
-            factors = list(layer.values())
-            layer = {}
-            for v in kept:
-                i, j = first[v]
-                layer[v] = tuple(sorted(factors[i] + (j,)))
-            current = MonomialIdeal(S, tuple(kept), f"{I.label or 'I'}^{m}")
-        yield m, current, layer
-
-
-def _power(I: MonomialIdeal, m: int, ctx: Optional[SearchContext]
-           ) -> tuple[MonomialIdeal, dict[tuple, tuple[int, ...]]]:
-    """I^m and its layer (see _powers)."""
     if m < 1:
         raise PreconditionViolated("m >= 1", f"got {m}")
     if ctx is None:
         ctx = SearchContext()
-    for _, power, layer in _powers(I, m, ctx):
-        pass
+    S = I.monoid
+    base = I.generators
+    layer = {v: (i,) for i, v in enumerate(base)}
+    power = I
+    for k in range(2, m + 1 if base else 2):  # the zero ideal is its own power
+        first = _sums(S, list(layer), base, ctx)
+        kept = minimalize(S, first, ctx)
+        factors = list(layer.values())
+        layer = {}
+        for v in kept:
+            i, j = first[v]
+            layer[v] = tuple(sorted(factors[i] + (j,)))
+        power = MonomialIdeal(S, tuple(kept), f"{I.label or 'I'}^{k}")
     return power, layer
 
 

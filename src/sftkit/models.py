@@ -151,7 +151,7 @@ def frobenius_quotient(p: int = 2, v: int = 5,
     units = tuple(ExponentVector(v, ((i, _ONE),)) for i in range(v))
     S = MonoidPresentation(
         dim=v, gens=units, weights=(_ONE,) * v,
-        kill=("entry_ge", p), name=f"frobenius-p{p}-v{v}")
+        kill_bound=p, name=f"frobenius-p{p}-v{v}")
     ring = CharPMonoidRing(S, p)
     ideals = (
         ("max", lattice_ideal(S, S._pack["scaled"], ctx, label="max")),

@@ -271,8 +271,7 @@ def certify_sft_all_elements(model: RingModel, data: SftData,
         return _report(claim, Verdict.VERIFIED, model, ctx, exact=True,
                        certificate=cert)
     if (not model.is_integer_model and p > 0
-            and model.monoid.kill is not None
-            and model.monoid.kill[0] == "entry_ge"):
+            and model.monoid.kill_bound is not None):
         monos = alive_ideal_monomials(model.ring, data.I, ctx)
         count = p ** len(monos)
         if count <= ctx.budgets.exhaustive_cap:
@@ -733,9 +732,9 @@ def check_quotient_pushforward(model: RingModel, data: SftData, kernel,
                                claim: str = "quotient") -> VerificationReport:
     """Re-verify pushed-forward data in the quotient by a monomial kernel.
 
-    Monoid models compose the kernel into the zero-monomial predicate and
-    drop killed generators; the integer model relaxes its membership
-    predicate at the kernel's degree.
+    Monoid models add the kernel's generators to the kill points
+    (MonoidPresentation.quotient) and drop killed generators; the integer
+    model relaxes its membership predicate at the kernel's degree.
     """
     if model.is_integer_model:
         if kernel != "2xD":
@@ -746,13 +745,7 @@ def check_quotient_pushforward(model: RingModel, data: SftData, kernel,
         data_q = SftData(I=data.I, B=B_q, n=data.n)
     else:
         S = model.monoid
-        kernel_gens = tuple(kernel)
-        if kernel_gens:
-            add = ("ideal_gens", kernel_gens)
-            new_kill = add if S.kill is None else ("or", S.kill, add)
-        else:
-            new_kill = S.kill
-        S_q = dataclasses.replace(S, kill=new_kill, name=S.name + "/ker")
+        S_q = S.quotient(kernel, S.name + "/ker")
         I_q, B_q = (lattice_ideal(
             S_q, [v for v in J.generators if not S_q.lattice_killed(v, ctx)],
             ctx, label=J.label + "+ker")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .budget import Budgets, SearchContext, budgets_from_env
+from .budget import Budgets, SearchContext
 from .elements import make_element, monomial_element
 from .errors import SchemaError, SftkitError, UnknownExample, UnsupportedModel
 from .exponents import ExponentVector
@@ -167,7 +167,7 @@ def run_claim(claim: CatalogClaim, models: Optional[dict] = None,
     here; see check_expectations). Budget exhaustion anywhere, in the
     operation or in building its inputs, is an inconclusive report."""
     models = catalog_models() if models is None else models
-    ctx = SearchContext(budgets=budgets or budgets_from_env())
+    ctx = SearchContext(budgets=budgets or Budgets())
     model: Optional[RingModel] = None
     if claim.model:
         if claim.model not in models:
@@ -343,7 +343,7 @@ def run_example(model: RingModel, seed: int = 0,
     """The standard probe of one model: generator SFT check, all-elements
     certificate, exact VSFT decision, per-k witness search, and the minimal
     index as a function of the truncation level."""
-    budgets = budgets or budgets_from_env()
+    budgets = budgets or Budgets()
     iname, bname, n = _PRIMARY_DATA[model.family]
     if n is None:
         n = model.char.value

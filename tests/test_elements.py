@@ -51,8 +51,8 @@ def ev(*vals) -> ExponentVector:
 
 
 PLANE = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1))
-PLANE_T2 = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1), kill=("entry_ge", 2))
-PLANE_T3 = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1), kill=("entry_ge", 3))
+PLANE_T2 = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1), kill_bound=2)
+PLANE_T3 = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1), kill_bound=3)
 HALF_LINE = MonoidPresentation(1, (ev(1), ev(Fraction(1, 2))), (1,))
 CATALOG = catalog_models()
 
@@ -413,12 +413,11 @@ class TestFiniteEnumeration:
 # predicates are decided without the membership search.
 
 HALF_PLANE_T2 = MonoidPresentation(2, (ev(Fraction(1, 2), 0), ev(0, 1)), (1, 2),
-                                   kill=("entry_ge", 2))
+                                   kill_bound=2)
 PLANE_IG = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (1, 1),
-                              kill=("ideal_gens", (ev(2, 1), ev(0, 3))))
+                              kill_points=(ev(2, 1), ev(0, 3)))
 PLANE_OR = MonoidPresentation(2, (ev(1, 0), ev(0, 1)), (2, 1),
-                              kill=("or", ("entry_ge", 3),
-                                    ("ideal_gens", (ev(1, 1),))))
+                              kill_bound=3, kill_points=(ev(1, 1),))
 _UNIT_DENOMS = {HALF_PLANE_T2: (2, 1), PLANE_IG: (1, 1), PLANE_OR: (1, 1)}
 
 
@@ -427,15 +426,11 @@ def _oracle_in_monoid(S, e) -> bool:
                for x, d in zip(e, _UNIT_DENOMS[S]))
 
 
-def _oracle_killed(S, spec, e) -> bool:
-    if spec is None:
-        return False
-    if spec[0] == "entry_ge":
-        return any(x >= spec[1] for x in e)
-    if spec[0] == "ideal_gens":
-        return any(_oracle_in_monoid(S, tuple(a - b for a, b in zip(e, g.dense())))
-                   for g in spec[1])
-    return _oracle_killed(S, spec[1], e) or _oracle_killed(S, spec[2], e)
+def _oracle_killed(S, e) -> bool:
+    if S.kill_bound is not None and any(x >= S.kill_bound for x in e):
+        return True
+    return any(_oracle_in_monoid(S, tuple(a - b for a, b in zip(e, g.dense())))
+               for g in S.kill_points)
 
 
 def _oracle_charp(R, pairs) -> dict:
@@ -446,7 +441,7 @@ def _oracle_charp(R, pairs) -> dict:
     s0 = S.denominator_bound
     alive = {k: c for k, c in acc.items() if c and not (
         all((x * s0).denominator == 1 for x in k[0])  # off the lattice: kept
-        and _oracle_killed(S, S.kill, k[0]))}
+        and _oracle_killed(S, k[0]))}
     weight = lambda e: sum(w * x for w, x in zip(S.weights, e))  # noqa: E731
     return dict(sorted(alive.items(),
                        key=lambda kc: (kc[0][1], weight(kc[0][0]), kc[0][0])))

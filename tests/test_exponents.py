@@ -321,32 +321,29 @@ class TestRankOne:
 
 class TestKillSpecs:
     def test_entry_ge(self):
-        S = presentation([1, 0], [0, 1], kill=("entry_ge", 3))
+        S = presentation([1, 0], [0, 1], kill_bound=3)
         assert not S.is_killed(EV([2, 2]))
         assert S.is_killed(EV([3, 0]))
         assert S.is_killed(EV([0, 5]))
 
     def test_ideal_gens(self):
         S = presentation([1, 0], [0, 1],
-                         kill=("ideal_gens", (EV([2, 1]),)))
+                         kill_points=(EV([2, 1]),))
         assert S.is_killed(EV([2, 1]))
         assert S.is_killed(EV([3, 2]))
         assert not S.is_killed(EV([2, 0]))
 
     def test_or_spec(self):
-        S = presentation([1], kill=("or", ("entry_ge", 4),
-                                    ("ideal_gens", (EV([2]),))))
+        S = presentation([1], kill_bound=4, kill_points=(EV([2]),))
         assert S.is_killed(EV([2]))
         assert S.is_killed(EV([4]))
         assert not S.is_killed(EV([1]))
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
-            presentation([1], kill=("entry_ge", 0))
+            presentation([1], kill_bound=0)
         with pytest.raises(ValueError):
-            presentation([1], kill=("whatever", 1))
-        with pytest.raises(ValueError):
-            presentation([1, 0], [0, 1], kill=("ideal_gens", (EV([1]),)))
+            presentation([1, 0], [0, 1], kill_points=(EV([1]),))
 
 
 class TestPresentationValidation:
@@ -444,8 +441,11 @@ SYMMETRIC = {"char2_xy": models.char2_xy(5), "fraction": models.fraction_monoid(
 
 
 def tuple_sort_canonical(S, v):
-    """_canonical_target ranking (value, coordinate) tuples by
-    (-value, coordinate), the reference for its sort."""
+    """Each symmetry class sorted by ranking (value, coordinate) tuples by
+    (-value, coordinate): (the sorted point, map[k] = new home of
+    coordinate k), or (v, None) when nothing moves. The reference for
+    _orbit_rep's point and for the map member() pulls its witness back
+    along."""
     perm = list(range(S.dim))
     for cls in S._sym_classes:
         ranked = sorted(((v[k], k) for k in cls), key=lambda t: (-t[0], t[1]))
@@ -476,4 +476,27 @@ class TestLatticeFrame:
         S = SYMMETRIC[data.draw(st.sampled_from(sorted(SYMMETRIC)))].monoid
         v = tuple(data.draw(st.lists(st.integers(min_value=-3, max_value=3),
                                      min_size=S.dim, max_size=S.dim)))
-        assert S._canonical_target(v) == tuple_sort_canonical(S, v)
+        assert S._orbit_rep(v) == tuple_sort_canonical(S, v)[0]
+        # a sum of generators, its coordinates moved within each class
+        scaled = S._pack["scaled"]
+        picks = data.draw(st.lists(st.integers(0, len(scaled) - 1),
+                                   min_size=1, max_size=3))
+        point = [sum(scaled[j][k] for j in picks) for k in range(S.dim)]
+        moved = list(point)
+        for cls in S._sym_classes:
+            for src, dst in zip(cls, data.draw(st.permutations(cls))):
+                moved[dst] = point[src]
+        moved = tuple(moved)
+        canon, perm = tuple_sort_canonical(S, moved)
+        if perm is None:
+            return
+        target = S.from_lattice(moved)
+        w = S.member(target)
+        assert w is not None and w.resum(S) == target
+        # it is the sorted point's witness pulled back along the map
+        lookup = {g: j for j, g in enumerate(scaled)}
+        pulled: dict = {}
+        for j, c in S.member(S.from_lattice(canon)).counts:
+            jj = lookup[tuple(scaled[j][perm[k]] for k in range(S.dim))]
+            pulled[jj] = pulled.get(jj, 0) + c
+        assert w.counts == tuple(sorted(pulled.items()))

@@ -15,6 +15,8 @@ from fractions import Fraction
 from operator import add, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftkit import exponents, ideals
 from sftkit.budget import Budgets, SearchContext
@@ -141,7 +143,7 @@ class TestMinimalize:
             assert minimal(ORTHANT, exps) == base
 
     def test_killed_generators_generate_nothing(self):
-        S = presentation((1, 0), (0, 1), kill=("entry_ge", 3))
+        S = presentation((1, 0), (0, 1), kill_bound=3)
         kept = minimal(S, [ev(4, 0), ev(0, 2)])
         assert kept == [ev(0, 2)]
 
@@ -210,7 +212,7 @@ class TestIdealMember:
         assert checked > 100
 
     def test_killed_target_lies_in_every_ideal(self):
-        S = presentation((1, 0), (0, 1), kill=("entry_ge", 4))
+        S = presentation((1, 0), (0, 1), kill_bound=4)
         zero_ideal = monomial_ideal(S, [])
         assert ideal_member(zero_ideal, ev(5, 0))
         assert ideal_member(monomial_ideal(S, [ev(0, 2)]), ev(4, 0))
@@ -223,6 +225,50 @@ class TestIdealMember:
         assert not ideal_member(I, ev(3, 0))
         assert ideal_member(I, ev(4, 0))
         assert ideal_member(I, ev(2, 5))
+
+
+# ---------------------------------------------------------------------------
+# the zero set of a truncation: a kill bound and kill points
+
+
+@st.composite
+def truncations(draw):
+    """A presentation on nonnegative generators with a kill bound (or none)
+    and kill points, and two more lists of points to take quotients by."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    point = st.tuples(*[st.integers(min_value=0, max_value=3)] * dim)
+    points = st.lists(point, max_size=2).map(lambda ps: tuple(ev(*p) for p in ps))
+    gens = draw(st.lists(point.filter(any), min_size=1, max_size=4, unique=True))
+    S = presentation(*gens, kill_bound=draw(st.none() | st.integers(1, 5)),
+                     kill_points=draw(points))
+    return S, draw(points), draw(points)
+
+
+BOX = 6  # the lattice points checked: every entry 0..BOX
+
+
+def killed_box(S) -> set:
+    return {v for v in itertools.product(range(BOX + 1), repeat=S.dim)
+            if S.lattice_killed(v)}
+
+
+class TestZeroSet:
+    @settings(max_examples=60, deadline=None)
+    @given(truncations())
+    def test_lattice_killed_is_the_definition(self, case):
+        # zero: an entry reaches the bound, or a kill point plus an element
+        S, _, _ = case
+        elements = enumerate_monoid(S, BOX * S.dim)
+        for v in itertools.product(range(BOX + 1), repeat=S.dim):
+            want = ((S.kill_bound is not None and max(v) >= S.kill_bound)
+                    or oracle_ideal_member(S, elements, S.kill_points, ev(*v)))
+            assert S.lattice_killed(v) == want, v
+
+    @settings(max_examples=60, deadline=None)
+    @given(truncations())
+    def test_quotients_compose(self, case):
+        S, a, b = case
+        assert killed_box(S.quotient(a).quotient(b)) == killed_box(S.quotient(a + b))
 
 
 def contains(I, J) -> bool:
@@ -505,13 +551,13 @@ class TestNilpotency:
 
     def test_truncation_makes_maximal_ideal_nilpotent(self):
         # entries cap at 2, so any 5-fold product of x, y has a coordinate >= 3
-        S = presentation((1, 0), (0, 1), kill=("entry_ge", 3))
+        S = presentation((1, 0), (0, 1), kill_bound=3)
         I = monomial_ideal(S, [ev(1, 0), ev(0, 1)])
         Z = monomial_ideal(S, [])
         assert least_power_inside(I, Z, 8, SearchContext()) == 5
 
     def test_mmax_cutoff_inconclusive(self):
-        S = presentation((1, 0), (0, 1), kill=("entry_ge", 3))
+        S = presentation((1, 0), (0, 1), kill_bound=3)
         I = monomial_ideal(S, [ev(1, 0), ev(0, 1)])
         Z = monomial_ideal(S, [])
         assert least_power_inside(I, Z, 4, SearchContext()) is None
@@ -735,7 +781,7 @@ def full_minimalize(S, points, ctx, divides=_divides) -> list:
     """minimalize with every point decided, none through its orbit."""
     weighted = {}
     for v in points:
-        if v not in weighted and not (S.kill is not None and S.lattice_killed(v, ctx)):
+        if v not in weighted and not (S.kills and S.lattice_killed(v, ctx)):
             weighted[v] = S.lattice_weight(v)
     order = sorted(weighted, key=lambda v: (weighted[v], v))
     minpos = S._pack["tables"][0][0]
@@ -790,12 +836,11 @@ def unit_point(S, *coords) -> tuple:
 
 
 def asymmetric_kill(kill_point):
-    """Three interchangeable variables whose kill ideal_gens point breaks
-    the symmetry: the kill is not invariant, so nothing takes the orbit
+    """Three interchangeable variables whose kill point breaks the
+    symmetry: the zero set is not invariant, so nothing takes the orbit
     route."""
     units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
-    return presentation(*units, kill=("or", ("entry_ge", 4),
-                                      ("ideal_gens", (ev(*kill_point),))))
+    return presentation(*units, kill_bound=4, kill_points=(ev(*kill_point),))
 
 
 def orbit_cases():

@@ -37,7 +37,7 @@ class TestConstructors:
         m = frobenius_quotient(2, 3)
         assert m.monoid.dim == 3
         assert len(m.monoid.gens) == 3
-        assert m.monoid.kill == ("entry_ge", 2)
+        assert (m.monoid.kill_bound, m.monoid.kill_points) == (2, ())
         assert m.char.value == 2
         assert m.ideal_names == ("max", "zero")
         assert m.ideal("zero").is_zero

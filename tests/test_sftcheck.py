@@ -452,12 +452,12 @@ class TestIndexSearches:
 
 
 def _random_monoid_pair(rng: random.Random):
-    """A rank-1 to rank-3 presentation, truncated half the time by an
-    entry_ge kill (then on nonnegative generators, where the kill is
+    """A rank-1 to rank-3 presentation, truncated half the time by a kill
+    bound (then on nonnegative generators, where the zero set is
     monotone), an ideal I of sums of its generators, and B generated by
     multiples of some of I's generators."""
     dim = rng.randint(1, 3)
-    kill = ("entry_ge", rng.randint(2, 6)) if rng.random() < 0.5 else None
+    kill = rng.randint(2, 6) if rng.random() < 0.5 else None
     lam = tuple(rng.randint(1, 3) for _ in range(dim))
     dense = set()
     for _ in range(rng.randint(1, 4)):
@@ -467,7 +467,7 @@ def _random_monoid_pair(rng: random.Random):
     if not dense:
         dense.add((1,) + (0,) * (dim - 1))
     gens = [ExponentVector.from_dense(g) for g in sorted(dense)]
-    S = MonoidPresentation(dim, tuple(gens), lam, kill=kill)
+    S = MonoidPresentation(dim, tuple(gens), lam, kill_bound=kill)
 
     def element(size):
         e = ExponentVector.zero(dim)
@@ -540,7 +540,7 @@ class TestLeastPowerInside:
         # orbit: {x}, {x², xy}, {x²y}, {x²y²}
         S = MonoidPresentation(2, (ExponentVector.unit(2, 0, 1),
                                    ExponentVector.unit(2, 1, 1)), (1, 1),
-                               kill=("entry_ge", 3))
+                               kill_bound=3)
         I = monomial_ideal(S, S.gens)
         ctx = SearchContext()
         assert least_power_inside(I, monomial_ideal(S, []), 8, ctx) == 5
@@ -551,7 +551,7 @@ class TestLeastPowerInside:
         # so every point of them is formed and charged
         S = MonoidPresentation(2, (ExponentVector.unit(2, 0, 1),
                                    ExponentVector.unit(2, 1, 1)), (1, 2),
-                               kill=("entry_ge", 3))
+                               kill_bound=3)
         assert S._sym_classes == ()
         I = monomial_ideal(S, S.gens)
         ctx = SearchContext()
@@ -1013,6 +1013,18 @@ class TestSuiteRunner:
         moved = [r.claim.id for r, got, want in zip(results, lines, golden)
                  if got != want]
         assert not moved, f"records moved: {moved}"
+
+    def test_library_reads_no_budget_profile(self, monkeypatch):
+        # only the command line reads SFTKIT_BUDGET_PROFILE: a context, a
+        # model build and a claim run under Budgets() whatever it names
+        with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
+            golden = fh.read().splitlines()
+        for profile in ("deep", "bogus"):
+            monkeypatch.setenv("SFTKIT_BUDGET_PROFILE", profile)
+            assert SearchContext().budgets == Budgets()
+            results = run_suite(catalog_claims(), catalog_models())
+            assert [dumps_record(drop_timing(report_record(r)))
+                    for r in results] == golden, profile
 
 
 class TestTwinRunWithoutBitsets:
