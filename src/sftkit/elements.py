@@ -661,8 +661,8 @@ def _sample_once(ring, ideal, degree_bound, rng, ctx):
 
 def alive_ideal_monomials(ring: CharPMonoidRing, I: MonomialIdeal,
                           ctx: Optional[SearchContext] = None) -> list[ExponentVector]:
-    """All non-killed monomials of I in an entry-bounded quotient; only
-    defined when S has a kill bound, which bounds every coordinate."""
+    """All non-killed monomials of I in an entry-bounded quotient, at every
+    lattice point below the kill bound; only defined when S has one."""
     S = ring.monoid
     if S.kill_bound is None:
         raise UnsupportedIdeal("finite enumeration needs an entry-bounded quotient")
@@ -671,7 +671,7 @@ def alive_ideal_monomials(ring: CharPMonoidRing, I: MonomialIdeal,
         ctx = SearchContext()
     s0 = S.denominator_bound
     out = []
-    for combo in itertools.product(range(0, S.kill_bound * s0, s0), repeat=S.dim):
+    for combo in itertools.product(range(S.kill_bound * s0), repeat=S.dim):
         if ideal_lattice_member(I, combo, ctx) and not S.lattice_killed(combo, ctx):
             out.append(combo)
     out.sort(key=lambda v: (S.lattice_weight(v), v))

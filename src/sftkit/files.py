@@ -252,14 +252,15 @@ def record_to_claim(rec: dict, where: str = "claim") -> CatalogClaim:
     if rec["expected"] not in _VERDICT_VALUES:
         raise SchemaError(f"{where}.expected",
                           f"unknown verdict {rec['expected']!r}")
-    if not rec["model"] and rec["kind"] != "divergence":
-        raise SchemaError(f"{where}.model",
-                          f"a {rec['kind']} claim must name a model")
+    kind = CLAIM_KINDS[rec["kind"]]
+    if bool(rec["model"]) != kind.names_model:
+        raise SchemaError(f"{where}.model", f"a {rec['kind']} claim " + (
+            "must name a model" if kind.names_model else "names no model"))
     params = rec["params"]
-    required, optional = CLAIM_KINDS[rec["kind"]]
-    _require_keys(params, set(required), set(optional), f"{where}.params")
+    _require_keys(params, set(kind.required), set(kind.optional),
+                  f"{where}.params")
     for name, value in params.items():
-        what, ok = required.get(name) or optional[name]
+        what, ok = kind.required.get(name) or kind.optional[name]
         if not ok(value):
             raise SchemaError(f"{where}.params.{name}",
                               f"must be {what}, got {value!r}")

@@ -357,7 +357,7 @@ class CatalogClaim:
 
     id: str
     model: str          # catalog model name, or "" for multi-model claims
-    kind: str           # suite dispatch key
+    kind: str           # a key of suite.CLAIM_KINDS
     params: tuple       # ((key, jsonable), ...)
     expected: str       # verdict value
     expect_details: tuple = ()  # ((key, jsonable), ...) subset match

@@ -113,7 +113,7 @@ def _report(claim, verdict, model, ctx, exact, certificate=None, witness=None,
 
 def inconclusive_on_budget(claim, model, ctx, op, seed=None):
     """op(), or an inconclusive_at_truncation report when any budget runs
-    out anywhere inside it. The one place budget exhaustion is caught."""
+    out inside it. Only _multinomial_cover also catches it, to sample."""
     try:
         return op()
     except BudgetExceeded as exc:

@@ -1,6 +1,7 @@
-"""Claim runner: builds the objects a CatalogClaim names, dispatches to the
-verification operation for its kind, and compares the report against the
-claim's frozen expectations.
+"""Claim runner: CLAIM_KINDS declares each claim kind once (its parameters,
+whether it names a model, and how to run it); run_claim runs a CatalogClaim
+through its kind's entry, and check_expectations compares the report against
+the claim's frozen expectations.
 
 Claims run independently: each gets a fresh SearchContext, and the per-claim
 seed mixes the base seed with the claim id so reordering or subsetting a
@@ -9,18 +10,19 @@ suite never changes any single claim's outcome.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .budget import Budgets, SearchContext
 from .elements import make_element, monomial_element
 from .errors import SchemaError, SftkitError, UnknownExample, UnsupportedModel
 from .exponents import ExponentVector
 from .ideals import lattice_ideal
-from .models import CatalogClaim, RingModel, catalog_models
+from .models import CatalogClaim, RingModel, _claim, catalog_models
 from .sftcheck import (SftData, Verdict, VerificationReport, anyradical_index,
                        build_sft_data, certify_sft_all_elements,
                        check_extension_vsft, check_power_data,
@@ -62,29 +64,19 @@ _IDEAL_DEF = ("a pair [operation, integer]",
               and isinstance(x[0], str) and _is_int(x[1]))
 _I_B = {"I": _NAME, "B": _NAME}
 
-# kind -> (required parameters, optional parameters), as _dispatch reads them
-CLAIM_KINDS = {
-    "sft_generators": ({**_I_B, "n": _INT}, {}),
-    "sft_all_elements": ({**_I_B, "n": _INT}, {"samples": _INT}),
-    "vsft": ({**_I_B, "n": _INT}, {}),
-    "vsft_witness_search": ({**_I_B, "kmax": _INT}, {"kmin": _INT}),
-    "minimal_index": ({**_I_B, "cap": _INT}, {}),
-    "power_data": ({**_I_B, "n": _INT, "m": _INT}, {"mode": _MODE}),
-    "modified_radical": ({"J": _NAME, "I_def": _IDEAL_DEF, "B": _NAME,
-                          "n": _INT, "kmax": _INT}, {}),
-    "radical_equal": ({**_I_B, "kmax": _INT}, {}),
-    "anyradical": ({**_I_B, "mmax": _INT}, {}),
-    "strong_convergence": ({**_I_B, "n": _INT}, {"elements": _FRACTIONS}),
-    "extension_vsft": ({**_I_B, "n": _INT, "degree": _INT},
-                       {"samples": _INT}),
-    "extension_sft_exponent": ({**_I_B, "n": _INT, "degree": _INT,
-                                "samples": _INT}, {}),
-    "quotient_pushforward": ({**_I_B, "n": _INT, "kernel": _NAMES},
-                             {"mode": _MODE}),
-    "divergence": ({"family": _NAME, "level_key": _NAME, "levels": _INTS,
-                    "fixed": _INT_MAP, **_I_B, "cap": _INT}, {}),
-    "valuation_scan": ({"numerators": _INTS, "nmax": _INT}, {}),
-}
+
+class ClaimKind(NamedTuple):
+    """The one declaration of a claim kind: its parameters as name ->
+    (what the value must be, test), whether a claim names a model, and the
+    runner run_claim calls as run(model, params, ctx, seed, claim=id,
+    **optional parameters given), so the operation's own defaults apply.
+    A runner names its operation at call time, through this module's
+    global, so a patched name (a tracer's) is the one that runs."""
+
+    required: dict
+    optional: dict
+    run: Callable[..., VerificationReport]
+    names_model: bool = True
 
 
 def claim_seed(base: int, claim_id: str) -> int:
@@ -103,6 +95,16 @@ class ClaimResult:
     @property
     def ok(self) -> bool:
         return self.error is None and not self.problems
+
+
+def _ideals(model, p):
+    return model.ideal(p["I"]), model.ideal(p["B"])
+
+
+def _data(model, p, ctx, n=None) -> SftData:
+    """The claim's (I, B, n); B ⊆ I is checked here."""
+    return build_sft_data(model, *_ideals(model, p),
+                          p["n"] if n is None else n, ctx)
 
 
 def _strong_conv_elements(model, spec, ctx):
@@ -146,18 +148,95 @@ def _parse_kernel(model, tokens):
     return tuple(out)
 
 
-def _modified_ideal(model, J, idef, ctx):
-    """The I of a modified-radical claim, derived from J: ["power", m] is
-    the full m-th power, ["gen_powers", m] the ideal of m-th generator
-    powers (smaller, same radical; monoid models only)."""
-    op, m = idef
+def _modified_args(model, p, ctx):
+    """(I, J, data for J) of a modified-radical claim. I is derived from J:
+    ["power", m] is the full m-th power, ["gen_powers", m] the ideal of
+    m-th generator powers (smaller, same radical; monoid models only)."""
+    J = model.ideal(p["J"])
+    data_j = build_sft_data(model, J, model.ideal(p["B"]), p["n"], ctx)
+    op, m = p["I_def"]
     if op == "power":
-        return J.power(m, ctx)
+        return J.power(m, ctx), J, data_j
     if op == "gen_powers" and not model.is_integer_model:
         return lattice_ideal(
             model.monoid, [tuple(m * x for x in v) for v in J.generators],
-            ctx, label=f"{J.label}[{m}]")
+            ctx, label=f"{J.label}[{m}]"), J, data_j
     raise UnsupportedModel(f"I_def {op!r} undefined for {model.name}")
+
+
+CLAIM_KINDS = {
+    "sft_generators": ClaimKind(
+        {**_I_B, "n": _INT}, {},
+        lambda model, p, ctx, seed, **kw: verify_sft_generators(
+            model, _data(model, p, ctx), ctx, **kw)),
+    "sft_all_elements": ClaimKind(
+        {**_I_B, "n": _INT}, {"samples": _INT},
+        lambda model, p, ctx, seed, **kw: certify_sft_all_elements(
+            model, _data(model, p, ctx), ctx, seed=seed, **kw)),
+    "vsft": ClaimKind(
+        {**_I_B, "n": _INT}, {},
+        lambda model, p, ctx, seed, **kw: verify_vsft(
+            model, _data(model, p, ctx), ctx, **kw)),
+    "vsft_witness_search": ClaimKind(
+        {**_I_B, "kmax": _INT}, {"kmin": _INT},
+        lambda model, p, ctx, seed, **kw: find_vsft_witness(
+            model, *_ideals(model, p), p["kmax"], ctx=ctx, **kw)),
+    "minimal_index": ClaimKind(
+        {**_I_B, "cap": _INT}, {},
+        lambda model, p, ctx, seed, **kw: minimal_vsft_index(
+            model, *_ideals(model, p), p["cap"], ctx, **kw)),
+    "power_data": ClaimKind(
+        {**_I_B, "n": _INT, "m": _INT}, {"mode": _MODE},
+        lambda model, p, ctx, seed, **kw: check_power_data(
+            model, _data(model, p, ctx), p["m"], ctx=ctx, **kw)),
+    "modified_radical": ClaimKind(
+        {"J": _NAME, "I_def": _IDEAL_DEF, "B": _NAME, "n": _INT,
+         "kmax": _INT}, {},
+        lambda model, p, ctx, seed, **kw: modified_radical_power_index(
+            model, *_modified_args(model, p, ctx), p["kmax"], ctx, **kw)),
+    "radical_equal": ClaimKind(
+        {**_I_B, "kmax": _INT}, {},
+        lambda model, p, ctx, seed, **kw: check_radical_equal(
+            model, _data(model, p, ctx, n=1), p["kmax"], ctx, **kw)),
+    "anyradical": ClaimKind(
+        {**_I_B, "mmax": _INT}, {},
+        lambda model, p, ctx, seed, **kw: anyradical_index(
+            model, *_ideals(model, p), p["mmax"], ctx, **kw)),
+    # the claim's elements are exponent strings, made ring elements here
+    "strong_convergence": ClaimKind(
+        {**_I_B, "n": _INT}, {"elements": _FRACTIONS},
+        lambda model, p, ctx, seed, elements=None, **kw:
+        strong_convergence_check(
+            model, elements=_strong_conv_elements(model, elements, ctx),
+            data=_data(model, p, ctx), ctx=ctx, **kw)),
+    "extension_vsft": ClaimKind(
+        {**_I_B, "n": _INT, "degree": _INT}, {"samples": _INT},
+        lambda model, p, ctx, seed, **kw: check_extension_vsft(
+            model, _data(model, p, ctx), p["degree"], seed=seed, ctx=ctx,
+            **kw)),
+    "extension_sft_exponent": ClaimKind(
+        {**_I_B, "n": _INT, "degree": _INT, "samples": _INT}, {},
+        lambda model, p, ctx, seed, **kw: check_sft_extension_exponent(
+            model, _data(model, p, ctx), p["degree"], p["samples"], seed,
+            ctx, **kw)),
+    "quotient_pushforward": ClaimKind(
+        {**_I_B, "n": _INT, "kernel": _NAMES}, {"mode": _MODE},
+        lambda model, p, ctx, seed, **kw: check_quotient_pushforward(
+            model, _data(model, p, ctx), _parse_kernel(model, p["kernel"]),
+            ctx=ctx, **kw)),
+    # each level builds its own model
+    "divergence": ClaimKind(
+        {"family": _NAME, "level_key": _NAME, "levels": _INTS,
+         "fixed": _INT_MAP, **_I_B, "cap": _INT}, {},
+        lambda model, p, ctx, seed, **kw: divergence_table(
+            p["family"], p["level_key"], p["levels"], p["fixed"], p["I"],
+            p["B"], p["cap"], ctx, **kw),
+        names_model=False),
+    "valuation_scan": ClaimKind(
+        {"numerators": _INTS, "nmax": _INT}, {},
+        lambda model, p, ctx, seed, **kw: valuation_non_sft_scan(
+            model, p["numerators"], p["nmax"], ctx, **kw)),
+}
 
 
 def run_claim(claim: CatalogClaim, models: Optional[dict] = None,
@@ -166,89 +245,22 @@ def run_claim(claim: CatalogClaim, models: Optional[dict] = None,
     """Execute one claim and return its report (expectations not compared
     here; see check_expectations). Budget exhaustion anywhere, in the
     operation or in building its inputs, is an inconclusive report."""
-    models = catalog_models() if models is None else models
-    ctx = SearchContext(budgets=budgets or Budgets())
+    kind = CLAIM_KINDS.get(claim.kind)
+    if kind is None:
+        raise UnknownExample(claim.kind, sorted(CLAIM_KINDS))
     model: Optional[RingModel] = None
-    if claim.model:
+    if kind.names_model:
+        models = catalog_models() if models is None else models
         if claim.model not in models:
             raise UnknownExample(claim.model, sorted(models))
         model = models[claim.model]
+    ctx = SearchContext(budgets=budgets or Budgets())
+    p = claim.param_map
+    optional = {k: p[k] for k in kind.optional if k in p}
     return inconclusive_on_budget(
         claim.id, model, ctx,
-        lambda: _dispatch(claim, model, ctx, claim_seed(seed, claim.id)))
-
-
-def _dispatch(claim: CatalogClaim, model: Optional[RingModel],
-              ctx: SearchContext, cseed: int) -> VerificationReport:
-    p = claim.param_map
-    kind = claim.kind
-
-    def data(n: int) -> SftData:
-        return build_sft_data(model, model.ideal(p["I"]),
-                              model.ideal(p["B"]), n, ctx)
-
-    if kind == "sft_generators":
-        return verify_sft_generators(model, data(p["n"]), ctx, claim=claim.id)
-    if kind == "sft_all_elements":
-        return certify_sft_all_elements(model, data(p["n"]), ctx,
-                                        samples=p.get("samples"), seed=cseed,
-                                        claim=claim.id)
-    if kind == "vsft":
-        return verify_vsft(model, data(p["n"]), ctx, claim=claim.id)
-    if kind == "vsft_witness_search":
-        return find_vsft_witness(model, model.ideal(p["I"]),
-                                 model.ideal(p["B"]), kmax=p["kmax"],
-                                 kmin=p.get("kmin", 1), ctx=ctx,
-                                 claim=claim.id)
-    if kind == "minimal_index":
-        return minimal_vsft_index(model, model.ideal(p["I"]),
-                                  model.ideal(p["B"]), cap=p["cap"], ctx=ctx,
-                                  claim=claim.id)
-    if kind == "power_data":
-        return check_power_data(model, data(p["n"]), m=p["m"],
-                                mode=p.get("mode", "vsft"), ctx=ctx,
-                                claim=claim.id)
-    if kind == "modified_radical":
-        J = model.ideal(p["J"])
-        data_j = build_sft_data(model, J, model.ideal(p["B"]), p["n"], ctx)
-        I_arg = _modified_ideal(model, J, p["I_def"], ctx)
-        return modified_radical_power_index(model, I_arg, J, data_j,
-                                            kmax=p["kmax"], ctx=ctx,
-                                            claim=claim.id)
-    if kind == "radical_equal":
-        return check_radical_equal(model, data(1), kmax=p["kmax"], ctx=ctx,
-                                   claim=claim.id)
-    if kind == "anyradical":
-        return anyradical_index(model, model.ideal(p["I"]),
-                                model.ideal(p["B"]), mmax=p["mmax"], ctx=ctx,
-                                claim=claim.id)
-    if kind == "strong_convergence":
-        els = _strong_conv_elements(model, p.get("elements"), ctx)
-        d = data(p["n"])
-        return strong_convergence_check(model, d, els, ctx=ctx,
-                                        claim=claim.id)
-    if kind == "extension_vsft":
-        return check_extension_vsft(model, data(p["n"]), degree=p["degree"],
-                                    samples=p.get("samples", 40), seed=cseed,
-                                    ctx=ctx, claim=claim.id)
-    if kind == "extension_sft_exponent":
-        return check_sft_extension_exponent(model, data(p["n"]),
-                                            degree=p["degree"],
-                                            samples=p["samples"], seed=cseed,
-                                            ctx=ctx, claim=claim.id)
-    if kind == "quotient_pushforward":
-        return check_quotient_pushforward(model, data(p["n"]),
-                                          _parse_kernel(model, p["kernel"]),
-                                          mode=p.get("mode", "sft"), ctx=ctx,
-                                          claim=claim.id)
-    if kind == "divergence":
-        return divergence_table(p["family"], p["level_key"], p["levels"],
-                                p["fixed"], p["I"], p["B"], p["cap"], ctx=ctx,
-                                claim=claim.id)
-    if kind == "valuation_scan":
-        return valuation_non_sft_scan(model, p["numerators"], p["nmax"],
-                                      ctx=ctx, claim=claim.id)
-    raise UnknownExample(kind, sorted(CLAIM_KINDS))
+        lambda: kind.run(model, p, ctx, claim_seed(seed, claim.id),
+                         claim=claim.id, **optional))
 
 
 def check_expectations(claim: CatalogClaim,
@@ -314,71 +326,46 @@ def exit_code(results) -> int:
 # one-command example replay
 
 
-# primary data triple per family; n=None means the model's characteristic
-_PRIMARY_DATA = {
-    "frobenius_quotient": ("max", "zero", None),
-    "fraction_monoid": ("frac", "y", 2),
-    "int_plus_2x": ("full", "two", 2),
-    "char2_xy": ("I", "B", 2),
-    "dyadic": ("max", "two", 2),
-    "rational_valuation": ("xV", "x", 2),
+# per family: the primary (I, B, n), n=None meaning the characteristic;
+# the truncation level's parameter; and the witness search's kmax, None
+# meaning the generator count up to 8 (the valuation model has hundreds of
+# generators, where pairs already exhibit the claim)
+_PROBE = {
+    "frobenius_quotient": ("max", "zero", None, "v", None),
+    "fraction_monoid": ("frac", "y", 2, "v", None),
+    "int_plus_2x": ("full", "two", 2, "D", None),
+    "char2_xy": ("I", "B", 2, "v", None),
+    "dyadic": ("max", "two", 2, "nmax", None),
+    "rational_valuation": ("xV", "x", 2, "denBound", 2),
 }
-
-_LEVEL_KEY = {
-    "frobenius_quotient": "v",
-    "fraction_monoid": "v",
-    "char2_xy": "v",
-    "dyadic": "nmax",
-    "int_plus_2x": "D",
-    "rational_valuation": "denBound",
-}
-
-# witness searches enumerate k-subsets of generators; the valuation model
-# has hundreds of generators, where pairs already exhibit the claim
-_EXAMPLE_KMAX = {"rational_valuation": 2}
 
 
 def run_example(model: RingModel, seed: int = 0,
                 budgets: Optional[Budgets] = None) -> list[VerificationReport]:
     """The standard probe of one model: generator SFT check, all-elements
     certificate, exact VSFT decision, per-k witness search, and the minimal
-    index as a function of the truncation level."""
-    budgets = budgets or Budgets()
-    iname, bname, n = _PRIMARY_DATA[model.family]
-    if n is None:
-        n = model.char.value
-    I, B = model.ideal(iname), model.ideal(bname)
-    tag = f"{model.name}"
-    reports = []
-
-    def fresh():
-        return SearchContext(budgets=budgets)
-
-    ctx = fresh()
-    d = inconclusive_on_budget(f"{tag}/sft-data", model, ctx,
-                               lambda: build_sft_data(model, I, B, n, ctx))
-    if isinstance(d, VerificationReport):
-        return [d]
-    reports.append(verify_sft_generators(model, d, ctx,
-                                         claim=f"{tag}/sft-generators"))
-    reports.append(certify_sft_all_elements(
-        model, d, fresh(), seed=claim_seed(seed, tag), claim=f"{tag}/sft-all"))
-    reports.append(verify_vsft(model, d, fresh(), claim=f"{tag}/vsft"))
-    kmax = _EXAMPLE_KMAX.get(model.family, min(len(I.gens), 8))
-    reports.append(find_vsft_witness(model, I, B, kmax=kmax, kmin=1,
-                                     ctx=fresh(), claim=f"{tag}/witnesses"))
+    index as a function of the truncation level. Each question is a claim
+    "<model name>/<question>" run by run_claim."""
+    iname, bname, n, level_key, kmax = _PROBE[model.family]
+    I_B = {"I": iname, "B": bname}
+    data = {**I_B, "n": model.char.value if n is None else n}
+    kmax = kmax or min(len(model.ideal(iname).gens), 8)
+    probe = [("sft-generators", "sft_generators", data),
+             ("sft-all", "sft_all_elements", data),
+             ("vsft", "vsft", data),
+             ("witnesses", "vsft_witness_search", {**I_B, "kmax": kmax})]
     if model.family == "rational_valuation":
         den = model.param_map["denBound"]
-        import math as _math
-        reports.append(valuation_non_sft_scan(
-            model, [1, 2, _math.factorial(den)], 4, ctx=fresh(),
-            claim=f"{tag}/valuation-scan"))
-    level_key = _LEVEL_KEY[model.family]
-    current = model.param_map[level_key]
-    levels = list(range(2, min(current, 5) + 1))
+        probe.append(("valuation-scan", "valuation_scan",
+                      {"numerators": [1, 2, math.factorial(den)], "nmax": 4}))
+    levels = list(range(2, min(model.param_map[level_key], 5) + 1))
     if len(levels) >= 2:
         fixed = {k: v for k, v in model.param_map.items() if k != level_key}
-        reports.append(divergence_table(
-            model.family, level_key, levels, fixed, iname, bname, cap=24,
-            ctx=fresh(), claim=f"{tag}/index-by-truncation"))
-    return reports
+        probe.append(("index-by-truncation", "divergence",
+                      {"family": model.family, "level_key": level_key,
+                       "levels": levels, "fixed": fixed, **I_B, "cap": 24}))
+    return [run_claim(_claim(
+                f"{model.name}/{question}",
+                model.name if CLAIM_KINDS[kind].names_model else "", kind,
+                "", **params), {model.name: model}, seed, budgets)
+            for question, kind, params in probe]

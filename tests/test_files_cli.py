@@ -328,6 +328,9 @@ class TestVerifyCommand:
                         "params.n: must be an integer"),
         "vsft-without-model": ("frac-vsft", lambda r: r.update(model=""),
                                "model: a vsft claim must name a model"),
+        "divergence-with-model": (
+            "fr2-divergence", lambda r: r.update(model="frobenius_p2"),
+            "model: a divergence claim names no model"),
         "unknown-fixed-param": (
             "fr2-divergence", lambda r: r["params"]["fixed"].update(bogus=1),
             "unknown frobenius_quotient parameter 'bogus'"),

@@ -10,6 +10,7 @@ the opposite verdict.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -28,20 +29,22 @@ from hypothesis import strategies as st
 import sftkit
 
 from sftkit import exponents
+from sftkit.arith import PrimeChar
 from sftkit.budget import PROFILES, Budgets, SearchContext
-from sftkit.elements import (alive_ideal_monomials, element_add,
-                             element_in_ideal, element_multiply,
+from sftkit.elements import (CharPMonoidRing, alive_ideal_monomials,
+                             element_add, element_in_ideal, element_multiply,
                              element_power, enumerate_ideal_elements,
                              int_ideal_full, int_ideal_two, monomial_element,
                              random_element)
 from sftkit.errors import (BudgetExceeded, PreconditionViolated,
                            TruncationTooSmall, UnsupportedModel)
 from sftkit.exponents import ExponentVector, MonoidPresentation
-from sftkit.files import drop_timing, dumps_record, report_record
+from sftkit.files import (drop_timing, dumps_record, probe_record,
+                          report_record)
 from sftkit.ideals import ideal_member, least_power_inside, monomial_ideal
-from sftkit.models import (build_model, catalog_claims, catalog_models,
-                           dyadic, fraction_monoid, frobenius_quotient,
-                           int_plus_2x)
+from sftkit.models import (RingModel, build_model, catalog_claims,
+                           catalog_models, dyadic, fraction_monoid,
+                           frobenius_quotient, int_plus_2x)
 from sftkit.sftcheck import (
     Certificate,
     SftData,
@@ -64,7 +67,8 @@ from sftkit.sftcheck import (
     verify_vsft,
 )
 from sftkit.sftcheck import _cover_holds, _power_exponent
-from sftkit.suite import claim_seed, exit_code, run_claim, run_suite
+from sftkit.suite import (CLAIM_KINDS, claim_seed, exit_code, run_claim,
+                          run_suite)
 
 
 def claim_by_id(cid: str):
@@ -200,6 +204,25 @@ class TestCertificates:
         assert rep.certificate.kind == "ExhaustiveFinite"
         assert rep.certificate.param_map["elements"] == 2 ** 3
         assert rep.exact
+
+    def test_exhaustive_certificate_counts_fractional_monomials(self):
+        # F_2[x^(1/2)] with x^2 = 0: x^(1/2), x and x^(3/2) are the live
+        # monomials of (x^(1/2)); index 5 is no power of 2, so neither the
+        # Frobenius nor the char-0 certificate applies
+        half = ExponentVector.from_dense((Fraction(1, 2),))
+        S = MonoidPresentation(1, (half,), (1,), kill_bound=2)
+        R = CharPMonoidRing(S, 2)
+        I, zero = monomial_ideal(S, [half]), monomial_ideal(S, [])
+        assert alive_ideal_monomials(R, I) == [
+            ExponentVector.from_dense((Fraction(k, 2),)) for k in (1, 2, 3)]
+        m = RingModel(name="half-line", family="half_line", params=(),
+                      char=PrimeChar(2), monoid=S, ring=R,
+                      ideals=(("max", I), ("zero", zero)))
+        rep = certify_sft_all_elements(m, build_sft_data(m, I, zero, 5),
+                                       SearchContext())
+        assert rep.verdict is Verdict.VERIFIED and rep.exact
+        assert rep.certificate == Certificate("ExhaustiveFinite",
+                                              (("elements", 2 ** 3),))
 
     def test_sampling_fallback_is_flagged_inexact(self):
         m = MODELS["int_plus_2x"]
@@ -999,6 +1022,102 @@ class TestSuiteRunner:
                             seed=0, budgets=Budgets(multisets=3))
         assert starved[0].report.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
         assert exit_code(starved) == 2
+
+    # a catalog claim per optional parameter, and the default its
+    # operation takes when the claim leaves the parameter out
+    OPTIONAL_DEFAULTS = {
+        ("int-sft-idx3-sampled", "samples"): Budgets().samples,
+        ("frac-witness-k2", "kmin"): 1,
+        ("int-power-m4", "mode"): "vsft",
+        ("int-ext-vsft", "samples"): 40,
+        ("int-quotient-xD", "mode"): "sft",
+    }
+
+    def test_left_out_optional_parameters_take_the_defaults(self):
+        covered = {(claim_by_id(cid).kind, name)
+                   for cid, name in self.OPTIONAL_DEFAULTS}
+        # strong_convergence's elements has no written-out default: left out,
+        # it means the model's own probe elements
+        assert covered == {(kind, name) for kind, k in CLAIM_KINDS.items()
+                           for name in k.optional} - {
+            ("strong_convergence", "elements")}
+        for (cid, name), default in self.OPTIONAL_DEFAULTS.items():
+            claim = claim_by_id(cid)
+            p = claim.param_map
+            p.pop(name, None)
+            left_out = dataclasses.replace(claim, params=tuple(sorted(p.items())))
+            p[name] = default
+            written = dataclasses.replace(claim, params=tuple(sorted(p.items())))
+            got = [dumps_record(probe_record(run_claim(c, models=MODELS)))
+                   for c in (left_out, written)]
+            assert got[0] == got[1], (cid, name)
+
+    # the verdict operation each kind's runner calls
+    KIND_OPERATIONS = {
+        "sft_generators": "verify_sft_generators",
+        "sft_all_elements": "certify_sft_all_elements",
+        "vsft": "verify_vsft",
+        "vsft_witness_search": "find_vsft_witness",
+        "minimal_index": "minimal_vsft_index",
+        "power_data": "check_power_data",
+        "modified_radical": "modified_radical_power_index",
+        "radical_equal": "check_radical_equal",
+        "anyradical": "anyradical_index",
+        "strong_convergence": "strong_convergence_check",
+        "extension_vsft": "check_extension_vsft",
+        "extension_sft_exponent": "check_sft_extension_exponent",
+        "quotient_pushforward": "check_quotient_pushforward",
+        "divergence": "divergence_table",
+        "valuation_scan": "valuation_non_sft_scan",
+    }
+
+    def test_runners_call_operations_by_module_name(self, monkeypatch):
+        # a tracer replaces each operation's name in every sftkit module
+        # that holds it; a runner that kept the function object itself
+        # would bypass the replacement
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        assert set(self.KIND_OPERATIONS) == set(CLAIM_KINDS)
+        for name in self.KIND_OPERATIONS.values():
+            fn = getattr(sftkit.sftcheck, name)
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").startswith("sftkit")
+                        and getattr(mod, name, None) is fn):
+                    monkeypatch.setattr(mod, name, counting(name, fn))
+        for kind, op in self.KIND_OPERATIONS.items():
+            claim = next(c for c in catalog_claims() if c.kind == kind)
+            calls.clear()
+            run_claim(claim, models=MODELS, seed=0)
+            assert calls[op] >= 1, (kind, op)
+
+    def test_readme_table_lists_each_claim_kind(self):
+        # README's claim-kind table: kind, operation, model, required
+        # parameters, optional parameter, default
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                    for line in fh if line.startswith("| `")]
+        rows = [row for row in rows if len(row) == 6]
+        table = {row[0].strip("`"): row for row in rows}
+        assert len(table) == len(rows)
+        assert set(table) == set(CLAIM_KINDS)
+
+        def names(cell):
+            return {n.strip("` ") for n in cell.split(",") if n.strip()}
+
+        for kind, k in CLAIM_KINDS.items():
+            _, op, model, required, optional, _default = table[kind]
+            assert op == f"`{self.KIND_OPERATIONS[kind]}`", kind
+            assert model == ("yes" if k.names_model else "no"), kind
+            assert names(required) == set(k.required), kind
+            assert names(optional) == set(k.optional), kind
 
     def test_full_catalog_is_green(self):
         models, claims = catalog_models(), catalog_claims()
