@@ -2,8 +2,9 @@
 
 Times element_multiply in each coefficient regime (prime characteristic on
 frobenius_p3, dyadic, the integer model Z + 2xZ[x]) at 1x1, 3x3 and 6x6
-terms, the n-fold generator products of int_ideal_full(10) for n = 2..4,
-and random_element in each regime, on the catalog models.
+terms, sftcheck.verify_vsft of int_ideal_full(10)^n ⊆ (2) for n = 2..4
+(the outside-set walk over integer-model keys), and random_element in
+each regime, on the catalog models.
 
 Usage: python3 benchmarks/bench_elements.py [--repeat N]
 """
@@ -15,8 +16,9 @@ import time
 
 from sftkit.budget import Budgets, SearchContext
 from sftkit.elements import (DyadicRing, element_multiply, int_ideal_full,
-                             make_element, random_element)
+                             int_ideal_two, make_element, random_element)
 from sftkit.models import catalog_models
+from sftkit.sftcheck import SftData, verify_vsft
 
 # regime -> (catalog model, ideal whose generators make the operands)
 REGIMES = {
@@ -83,13 +85,16 @@ def main():
                          args.repeat)
             print(f"element_multiply {regime:8s} {k}x{k}: {us:8.2f} us")
 
-    I = int_ideal_full(10)
+    m = models["int_plus_2x"]
+    I, B = int_ideal_full(10), int_ideal_two()
     for n in (2, 3, 4):
-        count = sum(1 for _ in I.products(n, SearchContext(Budgets())))
-        us = best_us(lambda i: sum(1 for _ in I.products(
-            n, SearchContext(Budgets()))), 5, args.repeat)
-        print(f"IntIdeal.products({n}) int_ideal_full(10): {count:5d} products"
-              f" {us:9.1f} us  {us / count:6.2f} us/product")
+        data = SftData(I=I, B=B, n=n)
+        rep = verify_vsft(m, data, SearchContext(Budgets()))
+        count = rep.budgets_used["multisets"]
+        us = best_us(lambda i: verify_vsft(m, data, SearchContext(Budgets())),
+                     5, args.repeat)
+        print(f"verify_vsft int_ideal_full(10)^{n} ⊆ (2): {rep.verdict.value}"
+              f" {count:5d} multisets {us:9.1f} us")
 
     for regime, (name, ideal) in REGIMES.items():
         m = models[name]

@@ -1,11 +1,13 @@
-"""Minimal-index, pair-witness and rank-1 membership benchmark on catalog
-ideals.
+"""Minimal-index, VSFT, pair-witness and rank-1 membership benchmark on
+catalog ideals.
 
 Times ideals.least_power_inside, the decision behind the minimal-index,
 divergence, modified-radical and anyradical claims, on the (I, B, cap) of
 the catalog's minimal-index and divergence claims: char2_xy(v=5), the
 fraction monoid at v=4, dyadic(nmax=5) and rational_valuation(5) and (7).
-Then sftcheck.find_vsft_witness at k = 2 (I = xV, B = x, the catalog's
+Then sftcheck.verify_vsft, the same outside-set walk stopped at one n, on
+char2_xy(v=8) at n = 9 and dyadic(nmax=10) at n = 11, both verified. Then
+sftcheck.find_vsft_witness at k = 2 (I = xV, B = x, the catalog's
 xv-witness-none) on rational_valuation(5), (6) and (7), and a batch of rank-1
 ideal membership queries B.contains((a,)) for a = 0..A-1 on one context.
 Prints the result, the multisets and search nodes charged (deterministic)
@@ -24,7 +26,7 @@ import time
 from sftkit.budget import Budgets, SearchContext
 from sftkit.ideals import least_power_inside
 from sftkit.models import build_model
-from sftkit.sftcheck import find_vsft_witness
+from sftkit.sftcheck import SftData, find_vsft_witness, verify_vsft
 
 # (family, parameters, I, B, cap)
 CASES = (
@@ -33,6 +35,12 @@ CASES = (
     ("dyadic", {"nmax": 5}, "max", "two", 9),
     ("rational_valuation", {"denBound": 5}, "xV", "x", 3),
     ("rational_valuation", {"denBound": 7}, "xV", "x", 3),
+)
+
+# (family, parameters, I, B, n) for verify_vsft
+VSFT_CASES = (
+    ("char2_xy", {"v": 8}, "I", "B", 9),
+    ("dyadic", {"nmax": 10}, "max", "two", 11),
 )
 
 # (family, parameters, I, B) for find_vsft_witness with kmin = kmax = 2
@@ -82,6 +90,14 @@ def main():
         n, ctx, best = best_of(
             args.repeat, lambda ctx: least_power_inside(I, B, cap, ctx))
         row(m.name, f"n={n}", ctx.multisets_used, ctx.nodes_used, best)
+    for family, params, i_name, b_name, n in VSFT_CASES:
+        m = build_model(family, **params)
+        data = SftData(I=m.ideal(i_name), B=m.ideal(b_name), n=n)
+        rep, _, best = best_of(args.repeat,
+                               lambda ctx: verify_vsft(m, data, ctx))
+        used = rep.budgets_used
+        row(f"{m.name} vsft n={n}", rep.verdict.value[:12], used["multisets"],
+            used["search_nodes"], best)
     for family, params, i_name, b_name in WITNESS_CASES:
         m = build_model(family, **params)
         I, B = m.ideal(i_name), m.ideal(b_name)

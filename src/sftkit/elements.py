@@ -33,7 +33,6 @@ convert them once, and PolyElement.terms is the ExponentVector view.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -485,27 +484,19 @@ class IntIdeal:
             out = self.multiply(out, x, ctx)
         return out
 
-    def products(self, n: int, ctx: SearchContext):
-        """(factors, key) for every n-fold product of generators,
-        multiset-enumerated in lexicographic order, each shared prefix
-        multiplied once; charged in full when iteration starts."""
-        keys = self.generators
-        count = math.comb(len(keys) + n - 1, n)
-        ctx.precheck_multisets(count)
-        ctx.charge_multisets(count)
-        yield from _prefix_products(
-            itertools.combinations_with_replacement(range(len(keys)), n),
-            keys, self.multiply, ctx)
-
-    def times_generators(self, points, ctx: SearchContext) -> list:
-        """The distinct products of the keys `points` with the generators,
-        in first-seen order; charged one multiset per pair, refused up
-        front when they would not fit."""
+    def times_generators(self, points: list, ctx: SearchContext) -> dict:
+        """Each distinct product of the keys `points` with the generators,
+        in first-seen order of the (point, generator) pairs, mapped to that
+        first pair (i, j); charged one multiset per pair, refused up front
+        when they would not fit."""
         count = len(points) * len(self.generators)
         ctx.precheck_multisets(count)
         ctx.charge_multisets(count)
-        return list(dict.fromkeys(self.multiply(x, g, ctx) for x in points
-                                  for g in self.generators))
+        first: dict = {}
+        for i, x in enumerate(points):
+            for j, g in enumerate(self.generators):
+                first.setdefault(self.multiply(x, g, ctx), (i, j))
+        return first
 
     def radical_index(self, x: tuple[int, int], kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:
@@ -532,15 +523,15 @@ class IntIdeal:
         if self.relax_at is not None:
             raise UnsupportedIdeal("powers of quotient-relaxed ideals are not catalog ideals")
         ring = self.gens[0].ring if self.gens else Int2xRing()
+        v = self.v0 * m
         if self.thresh == 0:
             # principal (2^v0) case
-            return IntIdeal(self.v0 * m, self.v0 * m + 1, self.v0 * m + 1, 0,
-                            gens=(monomial_element(ring, 0, 1 << (self.v0 * m)),),
-                            label=f"({1 << (self.v0 * m)})")
-        new_gens = tuple(
-            monomial_element(ring, j, 1 << m)
-            for j in range(m * self.thresh + 1))
-        return IntIdeal(m, m, m + 1, m * self.thresh, gens=new_gens,
+            return IntIdeal(v, v + 1, v + 1, 0,
+                            gens=(monomial_element(ring, 0, 1 << v),),
+                            label=f"({1 << v})")
+        new_gens = tuple(monomial_element(ring, j, 1 << v)
+                         for j in range(m * self.thresh + 1))
+        return IntIdeal(v, v, v + 1, m * self.thresh, gens=new_gens,
                         label=f"{self.label or 'I'}^{m}")
 
 

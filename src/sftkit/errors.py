@@ -57,7 +57,8 @@ class TruncationTooSmall(SftkitError):
 
 
 class UnsupportedIdeal(SftkitError):
-    """The integer-coefficient model only knows its catalog ideals."""
+    """Input the operation cannot take: an ideal or element of the other or
+    of no known kind, a relaxed ideal's power, or no kill bound to enumerate."""
 
 
 class UnsupportedModel(SftkitError):
@@ -65,7 +66,7 @@ class UnsupportedModel(SftkitError):
 
 
 class NoCertificateApplicable(SftkitError):
-    """No all-elements certificate rule matches; caller falls back to sampling."""
+    """No exact all-elements certificate applies and sampling is disabled."""
 
 
 class UnknownExample(SftkitError):

@@ -202,7 +202,7 @@ def record_to_model(rec: dict, where: str = "model") -> RingModel:
         raise SchemaError(f"{where}.schema",
                           f"expected {MODEL_SCHEMA!r}, got {rec['schema']!r}")
     family = rec["family"]
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise SchemaError(f"{where}.family",
                           f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
     params = rec["params"]
@@ -246,10 +246,11 @@ def record_to_claim(rec: dict, where: str = "claim") -> CatalogClaim:
         raise SchemaError(f"{where}.id", "claim id must be a nonempty string")
     if not isinstance(rec["model"], str):
         raise SchemaError(f"{where}.model", "model must be a string (empty for multi-model claims)")
-    if rec["kind"] not in CLAIM_KINDS:
+    if not isinstance(rec["kind"], str) or rec["kind"] not in CLAIM_KINDS:
         raise SchemaError(f"{where}.kind",
                           f"unknown kind {rec['kind']!r}; known: {', '.join(CLAIM_KINDS)}")
-    if rec["expected"] not in _VERDICT_VALUES:
+    if (not isinstance(rec["expected"], str)
+            or rec["expected"] not in _VERDICT_VALUES):
         raise SchemaError(f"{where}.expected",
                           f"unknown verdict {rec['expected']!r}")
     kind = CLAIM_KINDS[rec["kind"]]

@@ -13,8 +13,9 @@ the presentation's denominator bound, with integer weights
 (MonoidPresentation.to_lattice). A MonomialIdeal stores its generators as
 lattice points, so building, multiplying and comparing ideals never leaves
 the frame; `gens` is the ExponentVector view. Each power step sums the
-previous power's generators with the base's: as a pair loop, or in rank 1 as
-a bitset sumset with the same result. Each route is charged for what it
+previous power's generators with the base's, and each outside_layers step
+the previous layer's points: as a pair loop, or in rank 1 as a bitset
+sumset with the same result. Each route is charged for what it
 forms: the pair loop one multiset per pair, the sumset one per distinct sum.
 
 Membership of a point in an ideal loops over the generators g, lightest
@@ -27,28 +28,28 @@ sum it decides.
 
 MonomialIdeal also carries the ideal protocol the verdict layer is written
 against: its elements are lattice points, `generators` lists them,
-`contains`, `multiply`, `nth_power`, `power`, `products`,
-`times_generators` and `radical_index` work on them, `witness` names one
-in a report and `generator_elements` turns the generators into ring
-elements. The integer model's IntIdeal carries the same methods on
-monomial keys (x-degree, coefficient); its `products` enumerates multisets
-of generators in lexicographic order and multiplies each shared prefix
-once.
-least_power_inside decides the least n with I^n ⊆ B on either kind through
-that protocol, without building a full power. Whole-ideal questions go
-through the same protocol: J ⊆ I is I.contains on each of J's generators,
-and the least k with x^k in B is B.radical_index.
+`contains`, `multiply`, `nth_power`, `power`, `times_generators` and
+`radical_index` work on them, `witness` names one in a report and
+`generator_elements` turns the generators into ring elements. The integer
+model's IntIdeal carries the same methods on monomial keys (x-degree,
+coefficient).
+outside_layers walks the n-fold generator products still outside B on
+either kind through that protocol, without building a full power; every
+I^n ⊆ B question (least_power_inside, the verdict layer's VSFT decision)
+is decided on it. Full powers (_power) are built only for derived ideals.
+Whole-ideal questions go through the same protocol: J ⊆ I is I.contains on
+each of J's generators, and the least k with x^k in B is B.radical_index.
 
 Orbits. The coordinate permutations of MonoidPresentation._sym_classes
 form a group G of automorphisms of S. When G also leaves the kill
 invariant and an ideal's generator set is closed under it, membership in
 that ideal is the same for every point of a G-orbit. Then
-least_power_inside keeps one representative per orbit of its outside set
-(and charges for those alone), minimalize decides redundancy once per
+outside_layers keeps one point per orbit of each outside set (and charges
+for those alone), minimalize decides redundancy once per
 orbit of an invariant input, and the verdict layer's generator checks
 decide one generator per orbit (one_per_orbit). Everywhere else (rank 1,
-no symmetry, a non-invariant ideal or kill, IntIdeal) the representative
-is the point itself, on the same code path.
+no symmetry, a non-invariant ideal or kill, IntIdeal) each point is its
+own orbit, on the same code path.
 """
 
 from __future__ import annotations
@@ -137,17 +138,12 @@ class MonomialIdeal:
     def power(self, m: int, ctx: Optional[SearchContext] = None) -> "MonomialIdeal":
         return _power(self, m, ctx)[0]
 
-    def products(self, n: int, ctx: Optional[SearchContext] = None) -> list:
-        """(factors, point) for each generator of I^n; factors index gens."""
-        return [(factors, v) for v, factors in _power(self, n, ctx)[1].items()]
-
-    def times_generators(self, points, ctx: SearchContext) -> list:
-        """The distinct products of `points` with the generators, in
-        first-seen order of the (point, generator) pairs, the points taken
-        in ascending order in rank 1; charged as _sums charges."""
-        if self.monoid.dim == 1:
-            points = sorted(points)
-        return list(_sums(self.monoid, points, self.generators, ctx))
+    def times_generators(self, points: list, ctx: SearchContext) -> dict:
+        """Each distinct product of `points` with the generators, in
+        first-seen order of the (point, generator) pairs, mapped to the
+        first pair (i, j) with points[i] + generators[j] equal to it;
+        charged as _sums charges."""
+        return _sums(self.monoid, points, self.generators, ctx)
 
     def radical_index(self, v: tuple, kmax: int,
                       ctx: Optional[SearchContext] = None) -> Optional[int]:
@@ -392,12 +388,12 @@ def _pair_sums(layer: list, base: tuple) -> dict:
 
 
 def _rank1_sums(layer: list, base: tuple) -> dict:
-    """_pair_sums for rank-1 points in ascending (canonical) order, as a
-    bitset sumset: the base's bitset shifted by each layer point in turn,
-    keeping only the bits no earlier layer point set. Those come out in
-    ascending order, which is base order, so the result, its order and the
-    pairs are the pair loop's."""
-    lo, p0 = base[0][0], layer[0][0]
+    """_pair_sums for rank-1 layer points and base points in ascending
+    (canonical) order, as a bitset sumset: the base's bitset shifted by
+    each layer point in turn, keeping only the bits no earlier layer point
+    set. Each point's new bits come out in ascending order, which is base
+    order, so the result, its order and the pairs are the pair loop's."""
+    lo, p0 = base[0][0], min(layer)[0]
     bits = 0
     for (g,) in base:
         bits |= 1 << (g - lo)
@@ -419,11 +415,11 @@ def _rank1_sums(layer: list, base: tuple) -> dict:
 def _sums(S: MonoidPresentation, points: list, base: tuple,
           ctx: SearchContext) -> dict:
     """_pair_sums of points and base, charged for what the route forms. In
-    rank 1, with points ascending, a bitset sumset while it spans no more
-    than the membership table does, charged one multiset per distinct sum
-    it returns; otherwise the pair loop, charged |points|·|base| multisets
-    and refused up front when they would not fit."""
-    if (S.dim == 1 and points and base and points[-1][0] - points[0][0]
+    rank 1 a bitset sumset while it spans no more than the membership table
+    does, charged one multiset per distinct sum it returns; otherwise the
+    pair loop, charged |points|·|base| multisets and refused up front when
+    they would not fit."""
+    if (S.dim == 1 and points and base and max(points)[0] - min(points)[0]
             + base[-1][0] - base[0][0] <= exponents._RANK1_BOUND):
         first = _rank1_sums(points, base)
         ctx.charge_multisets(len(first))
@@ -519,32 +515,40 @@ def ideal_power_with_provenance(I: MonomialIdeal, m: int,
     return power, dict(zip(power.gens, layer.values()))
 
 
-def least_power_inside(I, B, cap: int, ctx: SearchContext) -> Optional[int]:
-    """Least n <= cap with I^n ⊆ B, or None, for two ideals of one kind
-    (MonomialIdeal, or the integer model's IntIdeal).
+def outside_layers(I, B, ctx: SearchContext) -> Iterator[dict]:
+    """For n = 1, 2, ...: the n-fold products of I's generators not in B,
+    one per orbit, each mapped to one sorted factorization into indices of
+    I.generators, for two ideals of one kind (MonomialIdeal or IntIdeal).
+    It stops after the first empty layer: I^n ⊆ B from there on.
 
-    Decided on the outside set: the n-fold products of I's generators that
-    are not in B. B is an ideal, so a product in B stays in B under one
-    more factor, and the outside set at n is the distinct products of the
-    one at n - 1 with I's generators, minus B. I^n ⊆ B iff it is empty. No
-    full power is built and nothing is minimalized.
-
-    The outside set is kept as orbit representatives (orbit_rep): when the
-    monoid's symmetry group G acts on the model and leaves I and B
-    invariant, the outside set at each step is G-invariant, and the
-    products of its representatives with I's generators reach every orbit
-    of the next one, so each orbit is decided once and the least n is the
-    same. Otherwise the representative is the point itself. Each step is
-    charged by I.times_generators for the products of the representatives
-    it forms.
+    B is an ideal, so a product in B stays in B under one more factor: the
+    layer at n is the distinct products of the one at n - 1 with I's
+    generators (I.times_generators, charged as it charges), minus B. No
+    full power is built and nothing is minimalized. When the monoid's
+    symmetry group leaves I and B invariant (orbit_rep), each layer is
+    invariant and the products of one point per orbit reach every orbit of
+    the next, so a layer keeps the first product met in each orbit and
+    B.contains decides it once, on the orbit's representative.
     """
     rep = orbit_rep(I, B)
-    outside: list = []
-    for n in range(1, cap + 1):
-        products = (I.generators if n == 1
-                    else I.times_generators(outside, ctx))
-        outside = [x for x in dict.fromkeys(map(rep, products))
-                   if not B.contains(x, ctx)]
-        if not outside:
+    factors: list = [()]  # of the previous layer's points
+    found = {g: (0, j) for j, g in enumerate(I.generators)}  # x: first (i, j)
+    while True:
+        firsts: dict = {}
+        for x, pair in found.items():
+            firsts.setdefault(rep(x), (x, pair))
+        layer = {x: tuple(sorted(factors[i] + (j,)))
+                 for r, (x, (i, j)) in firsts.items() if not B.contains(r, ctx)}
+        yield layer
+        if not layer:
+            return
+        factors = list(layer.values())
+        found = I.times_generators(list(layer), ctx)
+
+
+def least_power_inside(I, B, cap: int, ctx: SearchContext) -> Optional[int]:
+    """Least n <= cap with an empty outside_layers layer (I^n ⊆ B), or None."""
+    for n, layer in zip(range(1, cap + 1), outside_layers(I, B, ctx)):
+        if not layer:
             return n
     return None

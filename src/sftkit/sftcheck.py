@@ -7,12 +7,11 @@ kinds carry: MonomialIdeal (elements are lattice points) and the integer
 model's IntIdeal (elements are monomial keys (x-degree, coefficient)). An
 ideal lists its `generators` and `gens` (the same generators as the user
 sees them), and answers `contains(x, ctx)`, `multiply(x, y, ctx)`,
-`nth_power(x, n, ctx)` (x^n), `power(m, ctx)`, `products(n, ctx)` (the
-(factors, x) generators of I^n), `times_generators(xs, ctx)` (the
-distinct products of xs with the generators, on which
-ideals.least_power_inside decides the least n with I^n ⊆ B),
-`radical_index(x, kmax, ctx)` (least k with x^k inside, or None),
-`witness(x)` (the fields naming x in a report) and
+`nth_power(x, n, ctx)` (x^n), `power(m, ctx)`, `times_generators(xs,
+ctx)` (the distinct products of xs with the generators, each with its
+first pair: ideals.outside_layers walks on them the products outside B
+that decide every I^n ⊆ B), `radical_index(x, kmax, ctx)` (least k with
+x^k inside, or None), `witness(x)` (the fields naming x in a report) and
 `generator_elements(ring)`. Only facts about the ring, not the ideal,
 still branch on the model: the quotient kernel and the exhaustive
 certificate.
@@ -47,7 +46,7 @@ from .errors import (BudgetExceeded, NoCertificateApplicable,
                      UnsupportedModel)
 from .exponents import ExponentVector
 from .ideals import (first_pair_outside, lattice_ideal, least_power_inside,
-                     one_per_orbit, rank1_pair_scan_fits)
+                     one_per_orbit, outside_layers, rank1_pair_scan_fits)
 from .models import RingModel, build_model, check_model_params
 
 
@@ -212,12 +211,17 @@ def _sft_gens_core(data, ctx):
 
 
 def _vsft_core(data, ctx):
-    """Exact I^n ⊆ B decision. Returns None or a witness dict."""
-    for factors, x in data.I.products(data.n, ctx):
-        if not data.B.contains(x, ctx):
+    """Exact I^n ⊆ B decision on ideals.outside_layers: None once a layer
+    is empty, else the first product outside B at n as a witness dict."""
+    if data.n < 1:  # a hand-built SftData; outside_layers starts at n = 1
+        raise PreconditionViolated("index n >= 1", f"got {data.n}")
+    for n, layer in enumerate(outside_layers(data.I, data.B, ctx), 1):
+        if not layer:
+            return None
+        if n == data.n:
+            x, factors = next(iter(layer.items()))
             return {"kind": "generator_product", "factors": list(factors),
                     **data.I.witness(x)}
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +324,9 @@ def verify_vsft(model: RingModel, data: SftData,
     if witness is None:
         return _report(claim, Verdict.VERIFIED, model, ctx, exact=True,
                        index=data.n)
-    details = {}
-    if witness.get("factors"):
-        details["witness_factors"] = list(witness["factors"])
     return _report(claim, Verdict.REFUTED_WITH_WITNESS, model, ctx,
-                   exact=True, witness=witness, index=data.n, **details)
+                   exact=True, witness=witness, index=data.n,
+                   witness_factors=list(witness["factors"]))
 
 
 def _first_combo_outside(I, B, k, member_cache, ctx):

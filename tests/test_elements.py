@@ -44,6 +44,7 @@ from sftkit.exponents import ExponentVector, MonoidPresentation
 from sftkit.files import jsonify
 from sftkit.ideals import monomial_ideal
 from sftkit.models import catalog_models
+from sftkit.sftcheck import SftData, Verdict, verify_vsft
 
 
 def ev(*vals) -> ExponentVector:
@@ -645,13 +646,22 @@ class TestIntIdealKeys:
     @pytest.mark.parametrize("name", sorted(IDEALS))
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_products_match_element_products(self, name, n):
+        # the distinct n-fold products times the generators: each product
+        # key with the first (point, generator) pair whose element product
+        # has that key, charged one multiset per pair
         I = self.IDEALS[name]
-        ctx, ref_ctx = SearchContext(), SearchContext()
-        got = list(I.products(n, ctx))
-        want = [(combo, _key(f)) for combo, f in _element_products(I, n, ref_ctx)]
-        assert got == want
-        assert ctx.multisets_used == len(want)
-        for combo, key in got:
+        points = list(dict.fromkeys(
+            _key(f) for _, f in _element_products(I, n, SearchContext())))
+        ctx = SearchContext()
+        got = I.times_generators(points, ctx)
+        want: dict = {}
+        for i, (xd, c) in enumerate(points):
+            f = monomial_element(Int2xRing(), xd, c)
+            for j, g in enumerate(I.gens):
+                want.setdefault(_key(element_multiply(f, g)), (i, j))
+        assert list(got.items()) == list(want.items())
+        assert ctx.multisets_used == len(points) * len(I.gens)
+        for key in got:
             f = monomial_element(Int2xRing(), key[0], key[1])
             for J in self.IDEALS.values():
                 assert J.contains(key) == element_in_ideal(f, J)
@@ -696,14 +706,20 @@ class TestIntIdealKeys:
 
     @pytest.mark.parametrize("I,n,before,message", CAP16)
     def test_degree_cap_raises_at_the_same_product(self, I, n, before, message):
-        for products in (I.products, lambda n, ctx: (
-                (c, _key(f)) for c, f in _element_products(I, n, ctx))):
-            ctx = SearchContext(Budgets(degree_cap=16))
-            seen = 0
-            with pytest.raises(DegreeBudgetExceeded) as ei:
-                for _ in products(n, ctx):
-                    seen += 1
-            assert (seen, str(ei.value)) == (before, message)
+        # verify_vsft of I^n ⊆ I^n meets the same first product past the
+        # cap on its outside-set walk, and reports it as a truncation
+        ctx = SearchContext(Budgets(degree_cap=16))
+        seen = 0
+        with pytest.raises(DegreeBudgetExceeded) as ei:
+            for _ in _element_products(I, n, ctx):
+                seen += 1
+        assert (seen, str(ei.value)) == (before, message)
+        rep = verify_vsft(CATALOG["int_plus_2x"],
+                          SftData(I=I, B=I.power(n), n=n),
+                          SearchContext(Budgets(degree_cap=16)))
+        assert rep.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
+        assert rep.details == {"budget_exhausted": "DegreeBudgetExceeded",
+                               "message": message}
 
     def test_degree_cap_in_radical_index(self):
         g = int_ideal_full(10).generators[-1]

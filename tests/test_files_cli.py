@@ -320,7 +320,13 @@ class TestVerifyCommand:
         r = CliRunner().invoke(main, ["verify", str(p)])
         assert r.exit_code == 3
 
-    # catalog claim, edit of its record, text the error must show
+    # a model record whose family is a list, for a claim file's models
+    LISTED_FAMILY = {"listed": {
+        **jsonify(model_to_record(build_model("frobenius_quotient", p=2, v=5))),
+        "family": ["frobenius_quotient"]}}
+
+    # catalog claim, edit of its record, text the error must show, and the
+    # file's own models, if any
     MALFORMED = {
         "missing-n": ("frac-vsft", lambda r: r["params"].pop("n"),
                       "params: missing fields: n"),
@@ -350,16 +356,25 @@ class TestVerifyCommand:
         "ext-vsft-negative-samples": (
             "int-ext-vsft", lambda r: r["params"].update(samples=-3),
             "precondition violated: samples >= 0 (got -3)"),
+        "kind-as-list": ("frac-vsft", lambda r: r.update(kind=["vsft"]),
+                         "kind: unknown kind ['vsft']"),
+        "expected-as-list": (
+            "frac-vsft", lambda r: r.update(expected=["verified"]),
+            "expected: unknown verdict ['verified']"),
+        "family-as-list": (
+            "fr2-sft-gens", lambda r: r.update(model="listed"),
+            "family: unknown family ['frobenius_quotient']", LISTED_FAMILY),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_claim_params_exit_3(self, tmp_path, case, monkeypatch):
-        cid, edit, message = self.MALFORMED[case]
+        cid, edit, message, *models = self.MALFORMED[case]
         rec = json.loads(json.dumps(jsonify(claim_to_record(claim_by_id(cid)))))
         edit(rec)
         p = tmp_path / "claims.json"
         p.write_text(json.dumps({"schema": "sftkit/claims/1",
-                                 "claims": [rec]}))
+                                 "claims": [rec],
+                                 **({"models": models[0]} if models else {})}))
         built = []
 
         def recording_build(*args, **kwargs):

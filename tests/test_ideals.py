@@ -398,7 +398,9 @@ class TestLatticeFrame:
         rng = random.Random(7)
         for _ in range(200):
             base = tuple((g,) for g in sorted(rng.sample(range(0, 40), rng.randint(1, 6))))
-            layer = [(p,) for p in sorted(rng.sample(range(0, 90), rng.randint(1, 8)))]
+            layer = [(p,) for p in rng.sample(range(0, 90), rng.randint(1, 8))]
+            if rng.random() < 0.5:
+                layer.sort()  # ascending, as power steps pass it
             want = _pair_sums(layer, base)
             got = _rank1_sums(layer, base)
             assert list(got.items()) == list(want.items()), (layer, base)
@@ -407,11 +409,11 @@ class TestLatticeFrame:
                              ids=[n for n, _ in power_pairs()])
     def test_protocol_powers_stay_on_the_lattice(self, name, I, monkeypatch):
         def cube(ctx):
-            return I.times_generators(I.times_generators(I.generators, ctx),
-                                      ctx)
+            return I.times_generators(
+                list(I.times_generators(list(I.generators), ctx)), ctx)
 
         want_step = cube(SearchContext())
-        want = I.products(3)
+        want = I.power(3).generators
 
         def refuse(*args):
             raise AssertionError("exponent conversion inside the power loop")
@@ -420,13 +422,12 @@ class TestLatticeFrame:
         monkeypatch.setattr(type(S), "from_lattice", refuse)
         monkeypatch.setattr(type(S), "to_lattice", refuse)
         assert cube(SearchContext()) == want_step
-        assert I.products(3) == want
-        assert I.power(3).generators == tuple(v for _, v in want)
+        assert I.power(3).generators == want
         # the steps reach every 3-fold product, and I^3 keeps some of them
         assert set(want_step) == {
             tuple(map(sum, zip(*c)))
             for c in itertools.combinations_with_replacement(I.generators, 3)}
-        assert set(I.power(3).generators) <= set(want_step)
+        assert set(want) <= set(want_step)
 
     def test_ideal_built_two_ways_is_equal(self):
         for I in (monomial_ideal(ORTHANT, [ev(2, 0), ev(1, 1), ev(0, 3)]),
@@ -925,7 +926,8 @@ class TestOrbitRoute:
         total = {"orbit": 0, "full": 0}
         for name, I, B, _ in orbit_cases():
             S = I.monoid
-            products = I.times_generators(I.generators, SearchContext())
+            products = list(I.times_generators(list(I.generators),
+                                               SearchContext()))
             closed = sorted(set().union(*(orbit(S, v) for v in products)))
             picked = rng.sample(products, max(1, len(products) // 2))
             for points in (products, closed, picked,

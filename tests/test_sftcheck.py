@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import sftkit
 
-from sftkit import exponents
+from sftkit import exponents, ideals
 from sftkit.arith import PrimeChar
 from sftkit.budget import PROFILES, Budgets, SearchContext
 from sftkit.elements import (CharPMonoidRing, alive_ideal_monomials,
@@ -316,16 +316,19 @@ class TestBudgetPolicy:
         assert exit_code(results) == 2
 
     def test_power_meter_counts_products_not_shifts(self):
-        # the rank-1 sumset builds xV^2 at denBound 7 from 5,040 shifts and
-        # is charged one multiset per distinct product it forms, not the
-        # 5,040^2 pairs a pair loop would form
+        # the rank-1 sumset decides xV^2 ⊆ (x) at denBound 7 from the
+        # generators outside (x), each a shift of all 5,040, and is charged
+        # one multiset per distinct product it forms, not the 5,039 x 5,040
+        # pairs a pair loop would form
         m = build_model("rational_valuation", denBound=7)
         gens = [g for (g,) in m.ideal("xV").generators]
+        outside = [g for g in gens if not m.ideal("x").contains((g,))]
         bits = sum(1 << g for g in gens)
-        products = 0  # bit s: s is a sum of two generators
-        for g in gens:
+        products = 0  # bit s: s is an outside generator plus a generator
+        for g in outside:
             products |= bits << g
-        assert len(gens) == 5040 and products.bit_count() == 10_079
+        assert len(gens) == 5040 and len(outside) == 5039
+        assert products.bit_count() == 10_078
         rep = run_claim(claim_by_id("xv-vsft"),
                         models={"rational_valuation": m},
                         budgets=PROFILES["default"])
@@ -514,11 +517,137 @@ def _random_int_pair(rng: random.Random):
     return draw(), draw()
 
 
+def _random_symmetric_pair(rng: random.Random):
+    """Ideals I ⊇ B of a rank-2 or rank-3 monoid of unit generators of
+    one weight, truncated by a kill bound, each generated by orbits under
+    the coordinate permutations, so the symmetry acts on the model and
+    leaves both invariant."""
+    dim = rng.randint(2, 3)
+    kill = rng.randint(3, 5)
+    S = MonoidPresentation(dim, tuple(ExponentVector.unit(dim, k, 1)
+                                      for k in range(dim)),
+                           (1,) * dim, kill_bound=kill)
+
+    def orbits(points):
+        return [ExponentVector.from_dense(q) for p in points
+                for q in set(itertools.permutations(p))]
+
+    seeds = [tuple(rng.randint(0, kill - 1) for _ in range(dim))
+             for _ in range(rng.randint(1, 2))]
+    seeds = [p for p in seeds if any(p)] or [(1,) + (0,) * (dim - 1)]
+    I = monomial_ideal(S, orbits(seeds))
+    B = monomial_ideal(S, orbits(
+        tuple(a + b for a, b in zip(p, rng.choice(seeds)))
+        for p in rng.sample(seeds, rng.randint(0, len(seeds)))))
+    return I, B
+
+
+def _vsft_by_multisets(I, B, n, ctx) -> bool:
+    """The oracle: I^n ⊆ B iff the product of every multiset of n
+    generators of I lies in B."""
+    for combo in itertools.combinations_with_replacement(I.generators, n):
+        prod = combo[0]
+        for g in combo[1:]:
+            prod = I.multiply(prod, g, ctx)
+        if not B.contains(prod, ctx):
+            return False
+    return True
+
+
+def _product(I, factors):
+    """The product of I's generators at the indices `factors`."""
+    prod = I.generators[factors[0]]
+    for j in factors[1:]:
+        prod = I.multiply(prod, I.generators[j])
+    return prod
+
+
+class TestVsftAgainstMultisets:
+    """verify_vsft decides I^n ⊆ B on the outside set; the oracle forms
+    every multiset of n generators. A refutation's witness, like every
+    point of the outside set at n, is n sorted indices of I's generators
+    whose product is the point, outside B."""
+
+    @staticmethod
+    def _agree(pairs, nmax):
+        compared = refuted = 0
+        budgets = Budgets(search_nodes=20_000, multisets=20_000,
+                          degree_cap=24)
+        for I, B in pairs:
+            try:
+                layers = list(itertools.islice(ideals.outside_layers(
+                    I, B, SearchContext(budgets)), nmax))
+            except BudgetExceeded:
+                layers = []
+            for n, layer in enumerate(layers, 1):
+                for x, factors in layer.items():
+                    assert len(factors) == n and list(factors) == sorted(factors)
+                    assert _product(I, factors) == x and not B.contains(x)
+            for n in range(1, nmax + 1):
+                try:
+                    want = _vsft_by_multisets(I, B, n, SearchContext(budgets))
+                except BudgetExceeded:
+                    continue
+                rep = verify_vsft(None, SftData(I=I, B=B, n=n),
+                                  SearchContext(budgets))
+                if rep.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION:
+                    continue
+                assert rep.verdict is (Verdict.VERIFIED if want else
+                                       Verdict.REFUTED_WITH_WITNESS), (I, B, n)
+                compared += 1
+                if want:
+                    continue
+                refuted += 1
+                factors = rep.witness["factors"]
+                assert len(factors) == n and factors == sorted(factors)
+                assert rep.details["witness_factors"] == factors
+                assert not B.contains(_product(I, factors))
+                if "exponent" in rep.witness:  # MonomialIdeal
+                    e = rep.witness["exponent"]
+                    assert e == sum(
+                        (I.gens[j] for j in factors[1:]), I.gens[factors[0]])
+                    assert not ideal_member(B, e)
+        return compared, refuted
+
+    def test_rank1_ideals(self):
+        rng = random.Random(20261021)
+        pairs = []
+        while len(pairs) < 60:
+            I, B = _random_monoid_pair(rng)
+            if I.monoid.dim == 1:
+                pairs.append((I, B))
+        compared, refuted = self._agree(pairs, nmax=4)
+        assert compared >= 200 and refuted >= 60
+
+    def test_symmetric_ideals(self):
+        rng = random.Random(21)
+        pairs = [_random_symmetric_pair(rng) for _ in range(40)]
+        assert sum(ideals.orbit_rep(I, B) is not ideals._identity
+                   for I, B in pairs) >= 30  # the orbit route is taken
+        compared, refuted = self._agree(pairs, nmax=4)
+        assert compared >= 120 and refuted >= 40
+
+    def test_index_zero_is_refused(self):
+        # a hand-built triple with n = 0 names no layer of the walk
+        for I, B in ((MODELS["fraction"].ideal("frac"),
+                      MODELS["fraction"].ideal("y")),
+                     (int_ideal_full(3), int_ideal_two())):
+            with pytest.raises(PreconditionViolated) as ei:
+                verify_vsft(None, SftData(I=I, B=B, n=0))
+            assert ei.value.clause == "index n >= 1"
+
+    def test_integer_model_ideals(self):
+        rng = random.Random(22)
+        compared, refuted = self._agree(
+            (_random_int_pair(rng) for _ in range(60)), nmax=3)
+        assert compared >= 150 and refuted >= 30
+
+
 def _least_power_by_products(I, B, cap, ctx):
     """The oracle: least n <= cap whose full power I^n has every generator
     in B."""
     for n in range(1, cap + 1):
-        if all(B.contains(x, ctx) for _, x in I.products(n, ctx)):
+        if all(B.contains(x, ctx) for x in I.power(n, ctx).generators):
             return n
     return None
 
