@@ -7,9 +7,13 @@ the catalog's minimal-index and divergence claims: char2_xy(v=5), the
 fraction monoid at v=4, dyadic(nmax=5) and rational_valuation(5) and (7).
 Then sftcheck.verify_vsft, the same outside-set walk stopped at one n, on
 char2_xy(v=8) at n = 9 and dyadic(nmax=10) at n = 11, both verified. Then
-sftcheck.find_vsft_witness at k = 2 (I = xV, B = x, the catalog's
-xv-witness-none) on rational_valuation(5), (6) and (7), and a batch of rank-1
-ideal membership queries B.contains((a,)) for a = 0..A-1 on one context.
+sftcheck.find_vsft_witness at k = 2 on rank-1 ideals, where the pairs come
+from I.times_generators, the bitset sumset the outside-set walk uses,
+charged one multiset per distinct sum: I = xV, B = x (the catalog's
+xv-witness-none) on rational_valuation(5), (6) and (7), no witness, and
+I = max, B = two on dyadic(nmax=8), which finds one. Last, a batch of
+rank-1 ideal membership queries B.contains((a,)) for a = 0..A-1 on one
+context.
 Prints the result, the multisets and search nodes charged (deterministic)
 and the best wall time over the repeats, each on a fresh SearchContext (a
 model's least rank-1 table is built once and shared, so only the first
@@ -48,6 +52,7 @@ WITNESS_CASES = (
     ("rational_valuation", {"denBound": 5}, "xV", "x"),
     ("rational_valuation", {"denBound": 6}, "xV", "x"),
     ("rational_valuation", {"denBound": 7}, "xV", "x"),
+    ("dyadic", {"nmax": 8}, "max", "two"),
 )
 
 # (family, parameters, ideal, A): B.contains((a,)) for a < A on one context

@@ -593,19 +593,18 @@ def _check_frame(S: MonoidPresentation, ideal: MonomialIdeal):
 
 
 def random_element(ring: Ring, ideal, degree_bound: int, seed: int,
-                   ctx: Optional[SearchContext] = None,
-                   allow_zero: bool = False) -> PolyElement:
+                   ctx: Optional[SearchContext] = None) -> PolyElement:
     """Reproducible pseudo-random element of ideal * (ring extended by t).
 
     Deterministic in (seed, ring, ideal, degree_bound). Every summand is an
     ideal generator times a small ring element, so membership holds by
     construction. Resamples a few times rather than return zero (truncation
-    can kill everything) unless allow_zero is set.
+    can kill everything); the zero ideal's draw is zero.
     """
     rng = random.Random(seed)
     for _attempt in range(24):
         f = _sample_once(ring, ideal, degree_bound, rng, ctx)
-        if allow_zero or not f.is_zero:
+        if not f.is_zero:
             return f
     return f
 

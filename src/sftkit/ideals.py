@@ -17,14 +17,14 @@ previous power's generators with the base's, and each outside_layers step
 the previous layer's points: as a pair loop, or in rank 1 as a bitset
 sumset with the same result. Each route is charged for what it
 forms: the pair loop one multiset per pair, the sumset one per distinct sum.
+This one sumset (_sums, behind times_generators) also gives the verdict
+layer's rank-1 witness search its generator pairs.
 
 Membership of a point in an ideal loops over the generators g, lightest
 first, asking whether the point minus g is in the monoid. In rank 1 the
 loop is answered from the ideal's generator bitsets and a byte copy of the
 context's one reachability bitset, one node per query that reads it, as the
-reachability bit test is charged (_rank1_member); first_pair_outside scans
-generator pairs by shifts for the witness search, one multiset per distinct
-sum it decides.
+reachability bit test is charged (_rank1_member).
 
 MonomialIdeal also carries the ideal protocol the verdict layer is written
 against: its elements are lattice points, `generators` lists them,
@@ -428,51 +428,6 @@ def _sums(S: MonoidPresentation, points: list, base: tuple,
     ctx.precheck_multisets(count)
     ctx.charge_multisets(count)
     return _pair_sums(points, base)
-
-
-def rank1_pair_scan_fits(I) -> bool:
-    """first_pair_outside applies: a rank-1 MonomialIdeal whose pair sums
-    span no more than the membership table does."""
-    return (isinstance(I, MonomialIdeal) and I._rank1 is not None
-            and 2 * (I.generators[-1][0] - I.generators[0][0])
-            <= exponents._RANK1_BOUND)
-
-
-def first_pair_outside(I: MonomialIdeal, B, inside: dict,
-                       ctx: SearchContext) -> Optional[tuple[tuple, tuple]]:
-    """((i, j), g_i + g_j) for the lexicographically least pair i < j of I's
-    rank-1 generators whose sum is not in B, or None, by shifts: row i's
-    sums are the bitset of g_{j>i} shifted by g_i, and only the bits no
-    earlier row set are new. Each new sum, ascending, is looked up in
-    `inside` (point -> in B, shared with the caller) and otherwise decided
-    by B.contains and recorded there; the first one outside B is the
-    witness.
-
-    Charged for what it forms: one multiset per distinct sum it decides,
-    up to and including the witness, and B.contains's nodes once per
-    distinct sum in scan order. Requires rank1_pair_scan_fits(I).
-    """
-    vals = [g for (g,) in I.generators]
-    lo = vals[0]
-    index = {g: j for j, g in enumerate(vals)}
-    bits = I._rank1[0] >> lo
-    seen = 0  # bit s: the sum 2*lo + s was met in an earlier row
-    for i, gi in enumerate(vals):
-        off = gi - lo
-        new = ((bits >> (off + 1)) << (2 * off + 1)) & ~seen
-        seen |= new
-        while new:
-            low = new & -new
-            s = low.bit_length() - 1
-            ctx.charge_multisets(1)
-            v = (2 * lo + s,)
-            hit = inside.get(v)
-            if hit is None:
-                hit = inside[v] = B.contains(v, ctx)
-            if not hit:
-                return (i, index[s - off + lo]), v
-            new ^= low
-    return None
 
 
 def _power(I: MonomialIdeal, m: int, ctx: Optional[SearchContext]

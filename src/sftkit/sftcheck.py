@@ -45,8 +45,8 @@ from .errors import (BudgetExceeded, NoCertificateApplicable,
                      PreconditionViolated, TruncationTooSmall,
                      UnsupportedModel)
 from .exponents import ExponentVector
-from .ideals import (first_pair_outside, lattice_ideal, least_power_inside,
-                     one_per_orbit, outside_layers, rank1_pair_scan_fits)
+from .ideals import (MonomialIdeal, lattice_ideal, least_power_inside,
+                     one_per_orbit, outside_layers)
 from .models import RingModel, build_model, check_model_params
 
 
@@ -329,23 +329,18 @@ def verify_vsft(model: RingModel, data: SftData,
                    witness_factors=list(witness["factors"]))
 
 
-def _first_combo_outside(I, B, k, member_cache, ctx):
+def _first_combo_outside(I, k, outside, ctx):
     """(combo, product) for the lexicographically least k distinct
-    generators of I whose product is not in B, or None. One multiset per
-    combination, charged as it is drawn, and refused up front when all
-    C(n, k) would not fit; B.contains runs once per distinct product, its
-    answer kept in member_cache."""
+    generators of I whose product is outside(product), or None. One
+    multiset per combination, charged as it is drawn, and refused up front
+    when all C(n, k) would not fit."""
     gens = I.generators
     ctx.precheck_multisets(math.comb(len(gens), k))
     combos = (c for c in itertools.combinations(range(len(gens)), k)
               if not ctx.charge_multisets(1))
-    for combo, prod in _prefix_products(combos, gens, I.multiply, ctx):
-        inside = member_cache.get(prod)
-        if inside is None:
-            inside = member_cache[prod] = B.contains(prod, ctx)
-        if not inside:
-            return combo, prod
-    return None
+    return next(((combo, prod) for combo, prod
+                 in _prefix_products(combos, gens, I.multiply, ctx)
+                 if outside(prod)), None)
 
 
 @_guarded
@@ -357,8 +352,12 @@ def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
 
     Combinations are tried in lexicographic order, one multiset each, and
     B.contains runs once per distinct product. At k = 2 on a rank-1
-    MonomialIdeal, ideals.first_pair_outside finds the same pair by bitset
-    shifts, charged one multiset per distinct sum it decides."""
+    MonomialIdeal the pairs come from I.times_generators(I.generators),
+    charged as it charges (one multiset per distinct sum), all up front. It
+    keeps each sum's least pair (i, j), and i < j whenever two distinct
+    generators give the sum, since canonical order is compatible with
+    addition; so its first entry with j > i outside B is the least pair
+    outside B, after the same B.contains questions in the same order."""
     if kmax < 1 or kmin < 1 or kmin > kmax:
         raise PreconditionViolated("1 <= kmin <= kmax", f"got [{kmin},{kmax}]")
     gens = I.generators
@@ -366,14 +365,20 @@ def find_vsft_witness(model: RingModel, I, B, kmax: int, kmin: int = 1,
         raise TruncationTooSmall(
             f"kmax {kmax} exceeds the {len(gens)} distinct generators available")
     _same_monoid(I, B)
-    member_cache: dict = {}
+
+    @functools.cache  # shared by every k
+    def outside(prod) -> bool:
+        return not B.contains(prod, ctx)
+
     per_k = []
     last_witness = None
     for k in range(kmin, kmax + 1):
-        if k == 2 and rank1_pair_scan_fits(I):
-            hit = first_pair_outside(I, B, member_cache, ctx)
+        if k == 2 and isinstance(I, MonomialIdeal) and I.monoid.dim == 1:
+            sums = I.times_generators(list(gens), ctx)
+            hit = next((((i, j), prod) for prod, (i, j) in sums.items()
+                        if j > i and outside(prod)), None)
         else:
-            hit = _first_combo_outside(I, B, k, member_cache, ctx)
+            hit = _first_combo_outside(I, k, outside, ctx)
         found = None
         if hit is not None:
             combo, prod = hit
@@ -414,18 +419,20 @@ def divergence_table(family: str, level_key: str, levels, fixed: dict,
                      claim: str = "divergence") -> VerificationReport:
     """Minimal index as a function of the truncation level.
 
-    A strictly increasing table on a model with a declared witness family is
-    the computable signature of an index that exists at no finite value:
-    verdict refuted_family. A constant table is verdict verified. Running
+    The levels must strictly increase: a level given twice is measured
+    twice, and a table of one level shows no trend. A strictly increasing
+    table on a model with a declared witness family is the computable
+    signature of an index that exists at no finite value: verdict
+    refuted_family. A constant table is verdict verified. Running
     out of budget reports the truncation of the level that ran out. Every
     level's parameters pass the family's checks before the first level is
     built. Each level's model is built on ctx, so the searches that build
     its ideals count in the report's budgets.
     """
     levels = list(levels)
-    if len(levels) < 2:
-        raise PreconditionViolated("at least two truncation levels",
-                                   f"got {levels!r}")
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise PreconditionViolated("at least two strictly increasing "
+                                   "truncation levels", f"got {levels!r}")
     for level in levels:
         check_model_params(family, **{**fixed, level_key: level})
     table = []
@@ -816,7 +823,13 @@ def valuation_non_sft_scan(model: RingModel, numerators, nmax: int,
                            claim: str = "valuation-scan") -> VerificationReport:
     """Against every candidate datum ((x^a), n) for the ambient valuation
     monoid, exhibit x^(a/(n+1)): positive, hence in the maximal ideal, with
-    n-th power strictly below a. All arithmetic exact."""
+    n-th power strictly below a. All arithmetic exact. At least one
+    numerator and nmax >= 1: a family is refuted on candidates, not on
+    none."""
+    numerators = list(numerators)
+    if not numerators or nmax < 1:
+        raise PreconditionViolated("nonempty numerators and nmax >= 1",
+                                   f"got {numerators!r}, nmax {nmax}")
     den = model.param_map["denBound"]
     F = math.factorial(den)
     witnesses = []

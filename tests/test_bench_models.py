@@ -36,7 +36,7 @@ def test_bench_models_single_repeat(monkeypatch, capsys):
 @pytest.mark.parametrize("script,args,count,unit", [
     ("bench_membership.py", ("--repeat", "1", "--random", "20"), 2,
      " Mnodes/s"),
-    ("bench_powers.py", ("--repeat", "1"), 14, " ms"),
+    ("bench_powers.py", ("--repeat", "1"), 15, " ms"),
     ("bench_elements.py", ("--repeat", "1"), 15, " us"),
 ])
 def test_bench_script_single_repeat(monkeypatch, capsys, script, args, count,

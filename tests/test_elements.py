@@ -377,7 +377,7 @@ class TestSampling:
     def test_zero_ideal_samples_zero(self):
         R = CharPMonoidRing(PLANE_T2, 2)
         Z = monomial_ideal(PLANE_T2, [])
-        assert random_element(R, Z, 2, seed=1, allow_zero=True).is_zero
+        assert random_element(R, Z, 2, seed=1).is_zero
 
 
 class TestFiniteEnumeration:

@@ -346,6 +346,21 @@ class TestVerifyCommand:
         "divergence-level-past-generator-bound": (
             "xv-divergence", lambda r: r["params"].update(levels=[2, 12]),
             "precondition violated: at most 40320 generators (denBound=12 gives 12!)"),
+        "divergence-level-repeated": (
+            "fr2-divergence", lambda r: r["params"].update(levels=[3, 3]),
+            "precondition violated: at least two strictly increasing "
+            "truncation levels (got [3, 3])"),
+        "divergence-levels-decreasing": (
+            "fr2-divergence", lambda r: r["params"].update(levels=[4, 3]),
+            "precondition violated: at least two strictly increasing "
+            "truncation levels (got [4, 3])"),
+        "valuation-scan-without-numerators": (
+            "xv-valuation-scan", lambda r: r["params"].update(numerators=[]),
+            "precondition violated: nonempty numerators and nmax >= 1 "
+            "(got [], nmax 6)"),
+        "valuation-scan-nmax-zero": (
+            "xv-valuation-scan", lambda r: r["params"].update(nmax=0),
+            "precondition violated: nonempty numerators and nmax >= 1"),
         "elements-on-rank-2": (
             "fr2-strongconv-vacuous",
             lambda r: r["params"].update(elements=["1"]),

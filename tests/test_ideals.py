@@ -29,7 +29,6 @@ from sftkit.ideals import (
     _divides,
     _pair_sums,
     _rank1_sums,
-    first_pair_outside,
     ideal_lattice_member,
     ideal_member,
     ideal_power_with_provenance,
@@ -578,25 +577,6 @@ def loop_member(I, v, ctx) -> bool:
                for g, wg in zip(I.generators, I.gen_weights))
 
 
-def pair_loop(I, B, inside, ctx):
-    """first_pair_outside as the pair loop: every pair i < j in
-    lexicographic order, one multiset per distinct sum as it is first met,
-    B.contains once per sum."""
-    gens = I.generators
-    formed = set()
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        v = I.multiply(gens[i], gens[j])
-        if v not in formed:
-            formed.add(v)
-            ctx.charge_multisets(1)
-        hit = inside.get(v)
-        if hit is None:
-            hit = inside[v] = B.contains(v, ctx)
-        if not hit:
-            return (i, j), v
-    return None
-
-
 def random_numerical(rng):
     """A rank-1 presentation on 1-4 generators, sometimes fractional."""
     den = rng.choice([1, 1, 2, 3])
@@ -745,37 +725,6 @@ class TestRank1Bitset:
             assert (ideal_lattice_member(B, v, fast) == loop_member(B, v, slow)
                     and ideal_lattice_member(I, v, fast) == loop_member(I, v, slow))
             assert fast.nodes_used == slow.nodes_used, v
-
-
-class TestPairScan:
-    """first_pair_outside against the pair loop: same witness, same
-    member cache in the same order, same meters (one multiset per distinct
-    sum met), same budget aborts."""
-
-    def test_matches_pair_loop(self):
-        rng = random.Random(41)
-        scanned = 0
-        for trial in range(250):
-            S = random_numerical(rng)
-            I = random_rank1_ideal(rng, S, ("window", "spread")[trial % 2])
-            if len(I.generators) < 2:
-                continue
-            B = random_rank1_ideal(rng, S, KINDS[trial % len(KINDS)])
-            budget = 10 ** 9 if trial % 3 else rng.randint(0, 120)
-            fast = SearchContext(Budgets(search_nodes=budget))
-            slow = SearchContext(Budgets(search_nodes=budget))
-            fast_cache, slow_cache = {}, {}
-            if trial % 5 == 0:  # k = 1 ran first and filled the cache
-                for g in I.generators:
-                    fast_cache[g] = slow_cache[g] = B.contains(g, SearchContext())
-            got = outcome(lambda: first_pair_outside(I, B, fast_cache, fast))
-            want = outcome(lambda: pair_loop(I, B, slow_cache, slow))
-            where = (S.gens, I.generators, B.generators, budget)
-            assert got == want, where
-            assert list(fast_cache.items()) == list(slow_cache.items()), where
-            assert fast.used() == slow.used(), where
-            scanned += 1
-        assert scanned > 100
 
 
 def full_minimalize(S, points, ctx, divides=_divides) -> list:

@@ -459,8 +459,13 @@ class TestIndexSearches:
         assert rep.verdict is Verdict.VERIFIED
         assert rep.details["stable_index"] == 2
 
-    def test_non_monotone_table_stays_inconclusive(self):
-        rep = divergence_table("frobenius_quotient", "v", [3, 2], {"p": 2},
+    def test_non_monotone_table_stays_inconclusive(self, monkeypatch):
+        from sftkit import sftcheck
+        # no catalog family's index falls as its level grows
+        indices = iter([4, 3])
+        monkeypatch.setattr(sftcheck, "least_power_inside",
+                            lambda I, B, cap, ctx: next(indices))
+        rep = divergence_table("frobenius_quotient", "v", [2, 3], {"p": 2},
                                "max", "zero", cap=8)
         assert rep.verdict is Verdict.INCONCLUSIVE_AT_TRUNCATION
         assert rep.details["indices"] == [4, 3]
@@ -474,6 +479,13 @@ class TestIndexSearches:
     def test_fewer_than_two_levels_rejected(self):
         with pytest.raises(PreconditionViolated):
             divergence_table("frobenius_quotient", "v", [2], {"p": 2},
+                             "max", "zero", cap=8)
+
+    @pytest.mark.parametrize("levels", [[3, 3], [4, 3], [2, 4, 4]])
+    def test_levels_must_strictly_increase(self, levels):
+        # [3, 3] measured one level twice and was reported verified
+        with pytest.raises(PreconditionViolated, match="strictly increasing"):
+            divergence_table("frobenius_quotient", "v", levels, {"p": 2},
                              "max", "zero", cap=8)
 
 
@@ -1036,6 +1048,13 @@ class TestValuationScan:
         with pytest.raises(PreconditionViolated):
             valuation_non_sft_scan(m, [0], 3, ctx=SearchContext())
 
+    @pytest.mark.parametrize("numerators,nmax", [([], 4), ([1, 2], 0)])
+    def test_no_candidates_rejected(self, numerators, nmax):
+        # both once refuted the family with candidates 0 and no witness
+        m = MODELS["rational_valuation"]
+        with pytest.raises(PreconditionViolated, match="nonempty numerators"):
+            valuation_non_sft_scan(m, numerators, nmax, ctx=SearchContext())
+
 
 class TestWitnessSearchInputs:
     def test_kmax_beyond_generator_count(self):
@@ -1058,10 +1077,13 @@ class TestWitnessSearchInputs:
 
 
 class TestRank1PairScan:
-    """find_vsft_witness at k = 2 on rank-1 ideals scans pairs by shifts;
-    its reports equal those of the combination loop charged one multiset
-    per distinct product it meets, per_k and meters included, also when a
-    node budget stops either one midway."""
+    """find_vsft_witness at k = 2 on rank-1 ideals reads its pairs from
+    I.times_generators. Its reports equal those of _first_combo_outside at
+    every k (verdict, per_k, witnesses, search nodes), also when a node
+    budget stops either one before or after the membership table is built,
+    and the k = 2 step is charged what times_generators charges: one
+    multiset per distinct sum on the bitset sumset, |I|^2 on the pair
+    loop."""
 
     CASES = [("dyadic", {"nmax": 5}, "max", "two", 1, 4),
              ("dyadic", {"nmax": 8}, "max", "two", 2, 3),
@@ -1069,47 +1091,94 @@ class TestRank1PairScan:
              ("rational_valuation", {"denBound": 3}, "xV", "x", 2, 3),
              ("rational_valuation", {"denBound": 4}, "xV", "xV", 1, 2)]
 
+    @staticmethod
+    def check(monkeypatch, model, I, B, kmin, kmax) -> tuple:
+        """Compare the two routes on [kmin, kmax] and on k = 2 alone; return
+        the k = 2 step's sums and its multisets charge."""
+        from sftkit import sftcheck
+
+        def report(budget, lo, hi):
+            rep = find_vsft_witness(model, I, B, kmax=hi, kmin=lo,
+                                    ctx=SearchContext(Budgets(search_nodes=budget)))
+            return dataclasses.asdict(rep)
+
+        ranges = [(kmin, min(kmax, len(I.generators)))]
+        if len(I.generators) >= 2:
+            ranges.append((2, 2))
+        runs = {}
+        for lo, hi in ranges:
+            full = report(10 ** 9, lo, hi)["budgets_used"]["search_nodes"]
+            for b in [10 ** 9, 0, full // 2,
+                      *range(max(full - 40, 0), full + 1, 3)]:
+                runs[lo, hi, b] = report(b, lo, hi)
+        ctx = SearchContext()
+        sums = I.times_generators(list(I.generators), ctx)
+        charge = ctx.used()["multisets"]
+        assert charge in (len(sums), len(I.generators) ** 2)
+        for (lo, hi, b), got in runs.items():
+            if lo == hi == 2:
+                assert got["budgets_used"]["multisets"] == charge, b
+        monkeypatch.setattr(sftcheck, "MonomialIdeal", type("Off", (), {}))
+        for (lo, hi, b), got in runs.items():
+            want = report(b, lo, hi)
+            got["budgets_used"].pop("multisets")
+            want["budgets_used"].pop("multisets")
+            assert got == want, (lo, hi, b)
+        return sums, charge
+
     @pytest.mark.parametrize("family,params,i_name,b_name,kmin,kmax", CASES)
     def test_reports_match_the_combination_loop(self, monkeypatch, family,
                                                 params, i_name, b_name,
                                                 kmin, kmax):
-        import dataclasses
-        from sftkit import sftcheck
         m = build_model(family, **params)
         I, B = m.ideal(i_name), m.ideal(b_name)
-        kmax = min(kmax, len(I.generators))
+        sums, charge = self.check(monkeypatch, m, I, B, kmin, kmax)
+        assert ideals._rank1_sums(list(I.generators), I.generators) == sums
+        assert charge == len(sums)
 
-        def report(budget):
-            rep = find_vsft_witness(m, I, B, kmax=kmax, kmin=kmin,
-                                    ctx=SearchContext(Budgets(search_nodes=budget)))
-            return dataclasses.asdict(rep)
+    def test_random_rank1_pairs(self, monkeypatch):
+        rng = random.Random(7)
+        compared = 0
+        for _ in range(100):
+            gens = sorted(rng.sample(range(2, 30), rng.randint(1, 4)))
+            S = MonoidPresentation(1, tuple(ExponentVector.from_dense((g,))
+                                            for g in gens), (1,),
+                                   kill_bound=rng.choice([None, 60]))
 
-        full = report(10 ** 9)["budgets_used"]["search_nodes"]
-        # past the table build, a stop lands inside the pair queries
-        budgets = [10 ** 9, 0, full // 2, *range(max(full - 40, 0), full + 1, 3)]
-        scanned = [report(b) for b in budgets]
-        loop = sftcheck._first_combo_outside
+            def points(count, size):
+                return [ExponentVector.from_dense((sum(
+                    rng.choice(gens) for _ in range(rng.randint(1, size))),))
+                    for _ in range(count)]
 
-        def pairs_by_product(I, B, k, member_cache, ctx):
-            if k != 2:
-                return loop(I, B, k, member_cache, ctx)
-            formed = set()
-            for i, j in itertools.combinations(range(len(I.generators)), 2):
-                prod = I.multiply(I.generators[i], I.generators[j])
-                if prod not in formed:
-                    formed.add(prod)
-                    ctx.charge_multisets(1)
-                inside = member_cache.get(prod)
-                if inside is None:
-                    inside = member_cache[prod] = B.contains(prod, ctx)
-                if not inside:
-                    return (i, j), prod
-            return None
+            I = monomial_ideal(S, points(rng.randint(2, 8), 6))
+            B = monomial_ideal(S, points(rng.randint(0, 3), 12))
+            if len(I.generators) >= 2:
+                with monkeypatch.context() as patch:
+                    self.check(patch, None, I, B, 1, min(3, len(I.generators)))
+                compared += 1
+        assert compared >= 20
 
-        monkeypatch.setattr(sftcheck, "rank1_pair_scan_fits", lambda I: False)
-        monkeypatch.setattr(sftcheck, "_first_combo_outside", pairs_by_product)
-        for b, got in zip(budgets, scanned):
-            assert got == report(b), (family, b)
+    def test_a_double_with_no_distinct_pair_is_skipped(self, monkeypatch):
+        # in <4, 5, 7>, 10 = 5 + 5 only: outside B, but no witness at k = 2
+        S = MonoidPresentation(1, tuple(ExponentVector.from_dense((g,))
+                                        for g in (4, 5, 7)), (1,))
+        I = monomial_ideal(S, S.gens)
+        B = monomial_ideal(S, [ExponentVector.from_dense((g,)) for g in (9, 11)])
+        sums, charge = self.check(monkeypatch, None, I, B, 1, 3)
+        assert sums[(10,)] == (1, 1) and not B.contains((10,))
+        assert charge == len(sums) == 6
+        rep = find_vsft_witness(None, I, B, kmax=2, kmin=2)
+        assert rep.witness["factors"] == [1, 2]
+        assert rep.details["witness_exponent"] == "12"
+
+    def test_pair_loop_past_the_bitset_bound(self, monkeypatch):
+        m = build_model("dyadic", nmax=5)
+        I, B = m.ideal("max"), m.ideal("two")
+        span = I.generators[-1][0] - I.generators[0][0]
+        monkeypatch.setattr(exponents, "_RANK1_BOUND", span)
+        sums, charge = self.check(monkeypatch, m, I, B, 1, 4)
+        assert sums == ideals._pair_sums(list(I.generators), I.generators)
+        assert charge == len(I.generators) ** 2 > len(sums)
 
 
 class TestSuiteRunner:
